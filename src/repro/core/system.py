@@ -33,7 +33,7 @@ from repro.core.api import Matrix, element_type_for
 from repro.core.config import ArcaneConfig
 from repro.core.llc import ArcaneLlc
 from repro.isa.xmnmc import FUNC5_XMR, OffloadRequest, pack_pair
-from repro.mem.memory import MainMemory
+from repro.mem.memory import MainMemory, MainMemoryError
 from repro.runtime.phases import PhaseBreakdown
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
@@ -251,7 +251,7 @@ class ArcaneSystem:
                 return address
         address = self._heap
         if address + reserved > self.memory.base + self.memory.size:
-            raise MemoryError(
+            raise MainMemoryError(
                 f"matrix heap exhausted placing {n_bytes} bytes at {address:#x} "
                 f"({self.heap_stats()['live_bytes']} bytes live; free_matrix() or "
                 "reset_heap() reclaims space on a long-lived system)"

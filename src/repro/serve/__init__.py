@@ -37,6 +37,7 @@ from repro.serve.dispatch import (
     SEQUENCE_CLOCK,
     AdmissionPolicy,
     DispatchCore,
+    OnlineEvent,
     ProcessPool,
     SerialPool,
     estimate_service_cycles,
@@ -61,7 +62,6 @@ from repro.serve.faults import (
 )
 from repro.serve.fleet import FleetReplayCache
 from repro.serve.golden import expected_output, kernel_golden
-from repro.serve.online import OnlineDispatcher, OnlineEvent
 from repro.serve.request import (
     KINDS,
     STATUSES,
@@ -105,7 +105,6 @@ __all__ = [
     "GraphNode",
     "InferenceRequest",
     "KernelKilledError",
-    "OnlineDispatcher",
     "OnlineEvent",
     "ProcessPool",
     "RequestRejected",

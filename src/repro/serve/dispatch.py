@@ -1,13 +1,10 @@
-"""The unified dispatch core: one scheduling loop for every serving mode.
+"""The dispatch core: one scheduling loop for every serving mode.
 
-Before this module, ``serve/`` had three divergent execution paths —
-offline serial (faults + retry + quarantine), offline parallel shards
-(no faults, no retry), and online (serial pool only, plain FIFO).  The
-:class:`DispatchCore` replaces all three with **one event loop** that
-owns admission, worker selection, retry/failover, quarantine, deadlines
-and span/metrics hooks, parameterized by three orthogonal pieces of
-data (the Exo/SYS_ATL scheduling-as-data idiom: one fixed algorithm,
-policies as values):
+:class:`DispatchCore` is the single event loop behind offline, online
+and multi-process serving.  It owns admission, worker selection,
+retry/failover, quarantine, deadlines and span/metrics hooks, and is
+parameterized by three orthogonal pieces of data (the Exo/SYS_ATL
+scheduling-as-data idiom: one fixed algorithm, policies as values):
 
 * a **clock** — :data:`CYCLE_CLOCK` runs the loop in simulated cycles
   (arrival-driven online serving: backlog-aware dispatch, simulated
@@ -21,22 +18,21 @@ policies as values):
   first, by the compiled-kernel trip-count estimate of
   :func:`estimate_service_cycles`) re-order the backlog whenever
   requests are queued.  The pending heap is keyed ``(ready, *rank,
-  seq)``, so FIFO (empty rank) reproduces the legacy loop bit-for-bit;
+  seq)``; FIFO's rank is empty;
 * a **pool backend** — :class:`SerialPool` executes on in-process
   :class:`~repro.serve.worker.SystemWorker` instances;
   :class:`ProcessPool` partitions the pool over OS processes (worker
-  ``w`` lives in shard ``w % processes``) behind the same six-call
+  ``w`` lives in shard ``w % processes``) behind the same call
   protocol.
 
 Fault decisions live in the **core**, not the worker: the core calls
 :meth:`FaultInjector.before_attempt` itself and mirrors the decision to
 the owning backend, so serial and multi-process runs draw identical
-faults in identical order.  Combined with two existing invariants —
-per-request results are bit-exact with single-shot cold runs
-(``reset_heap()``) and injected faults fire *before* execution — this
-makes serial vs multi-process reports bit-identical (outputs, statuses,
-simulated cycles, event logs, availability), which is what lifted the
-old ``processes=1`` restrictions on faults and online serving.
+faults in identical order.  Combined with two invariants — per-request
+results are bit-exact with single-shot cold runs (``reset_heap()``) and
+injected faults fire *before* execution — serial and multi-process
+reports are bit-identical (outputs, statuses, simulated cycles, event
+logs, availability).
 
 The :class:`ProcessPool` also carries the **shared fleet replay cache**
 (:mod:`repro.serve.fleet`): recordings a shard publishes ride back on
@@ -48,7 +44,6 @@ boundaries.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -165,14 +160,14 @@ class AdmissionPolicy:
     """How queued requests are ordered when the pool is backlogged.
 
     The policy contributes a *rank tuple* to the pending-heap key
-    ``(ready, *rank, seq)``.  FIFO's rank is empty, which keeps the
-    exact legacy ordering ``(ready, seq)``; the other policies rank
-    same-cycle requests by priority class, deadline, or estimated
-    service cost.  Non-FIFO policies are **deferring**: a request that
-    would have to wait for a busy worker re-enters the heap at the
-    cycle the earliest candidate frees, where the rank re-orders it
-    against everything else queued by then — so the policy decides who
-    gets the freed worker, not merely who is examined first.
+    ``(ready, *rank, seq)``.  FIFO's rank is empty, so it orders by
+    ``(ready, seq)`` alone; the other policies rank same-cycle requests
+    by priority class, deadline, or estimated service cost.  Non-FIFO
+    policies are **deferring**: a request that would have to wait for a
+    busy worker re-enters the heap at the cycle the earliest candidate
+    frees, where the rank re-orders it against everything else queued by
+    then — so the policy decides who gets the freed worker, not merely
+    who is examined first.
     """
 
     kind: str = "fifo"
@@ -277,33 +272,8 @@ class SerialPool:
             stats[w.index] = dict(cache.stats) if cache is not None else None
         return stats
 
-    def run_batch(
-        self, assignments: Sequence[Tuple[int, InferenceRequest]]
-    ) -> Tuple[float, List[RequestResult]]:
-        """Static batch execution (no retries), timing the serving loop."""
-        start = time.perf_counter()
-        results = [
-            _run_static(self.workers[worker], worker, request)
-            for worker, request in assignments
-        ]
-        return time.perf_counter() - start, results
-
     def close(self) -> None:
         pass
-
-
-def _run_static(
-    worker: SystemWorker, index: int, request: InferenceRequest
-) -> RequestResult:
-    """One attempt with the legacy static-shard failure shape."""
-    try:
-        return worker.run(request)
-    except ServingError as error:
-        return RequestResult.failure(
-            request, "failed",
-            f"attempt 1 on worker {index}: {error}",
-            worker=index, fault_class=error.fault_class,
-        )
 
 
 def _pool_shard_main(
@@ -377,13 +347,6 @@ def _pool_shard_main(
                 for w, worker in workers.items():
                     cache = worker.system.llc.runtime.replay_cache
                     value[w] = dict(cache.stats) if cache is not None else None
-            elif command == "run_batch":
-                start = time.perf_counter()
-                batch = [
-                    _run_static(workers[w], w, request)
-                    for w, request in kwargs["assignments"]
-                ]
-                value = (time.perf_counter() - start, batch)
             else:
                 status, value = "fatal", f"unknown pool command {command!r}"
         except Exception as error:  # pragma: no cover - defensive
@@ -400,14 +363,14 @@ def _pool_shard_main(
 class ProcessPool:
     """Multi-process backend: worker ``w`` lives in shard ``w % processes``.
 
-    Each shard is a long-lived child process owning its workers outright
-    (same partitioning as the legacy ``_serve_parallel``), driven over a
-    pipe by the same protocol :class:`SerialPool` implements in-process.
-    Execution is remote but every *decision* stays in the parent's
-    dispatch core, so multi-process runs are bit-identical to serial
-    ones.  The parent mirrors per-worker busy cycles and the last
-    recovery diagnostic from replies, and relays fleet-cache recordings
-    between shards (see :func:`_pool_shard_main`).
+    Each shard is a long-lived child process owning its workers
+    outright, driven over a pipe by the same protocol
+    :class:`SerialPool` implements in-process.  Execution is remote but
+    every *decision* stays in the parent's dispatch core, so
+    multi-process runs are bit-identical to serial ones.  The parent
+    mirrors per-worker busy cycles and the last recovery diagnostic from
+    replies, and relays fleet-cache recordings between shards (see
+    :func:`_pool_shard_main`).
     """
 
     def __init__(
@@ -473,23 +436,17 @@ class ProcessPool:
                     (k, r) for k, r in self._updates[other] if k not in keys
                 ]
 
-    def _send(self, shard: int, command: str, **kwargs) -> None:
-        updates = self._updates[shard]
-        self._updates[shard] = []
-        retracted = self._retracted[shard]
-        self._retracted[shard] = []
-        self._conns[shard].send((command, kwargs, updates, retracted))
-
-    def _recv(self, shard: int):
-        status, value, recovery, published, retractions = self._conns[shard].recv()
+    def _request(self, shard: int, command: str, **kwargs):
+        """One synchronous round-trip to a shard, relaying fleet updates."""
+        updates, self._updates[shard] = self._updates[shard], []
+        retracted, self._retracted[shard] = self._retracted[shard], []
+        conn = self._conns[shard]
+        conn.send((command, kwargs, updates, retracted))
+        status, value, recovery, published, retractions = conn.recv()
         self._distribute(shard, published, retractions)
         if status == "fatal":
             raise RuntimeError(f"pool shard {shard} failed: {value}")
         return status, value, recovery
-
-    def _request(self, shard: int, command: str, **kwargs):
-        self._send(shard, command, **kwargs)
-        return self._recv(shard)
 
     def execute(
         self,
@@ -550,49 +507,6 @@ class ProcessPool:
 
     def replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
         return dict(sorted(self._gather("replay").items()))
-
-    def run_batch(
-        self, assignments: Sequence[Tuple[int, InferenceRequest]]
-    ) -> Tuple[float, List[RequestResult]]:
-        """Fan one static batch out to all shards concurrently.
-
-        Reproduces the legacy parallel path: per-shard request order is
-        submission order, results scatter back by position, the wall
-        time is the slowest shard's serving loop, and a short shard is
-        a hard error (a dropped result would misalign every later
-        verify/report row).
-        """
-        parts: Dict[int, List[Tuple[int, InferenceRequest]]] = {
-            p: [] for p in range(self.processes)
-        }
-        order: Dict[int, List[int]] = {p: [] for p in range(self.processes)}
-        for position, (worker, request) in enumerate(assignments):
-            shard = self.shard_of[worker]
-            parts[shard].append((worker, request))
-            order[shard].append(position)
-        for p in range(self.processes):
-            self._send(p, "run_batch", assignments=parts[p])
-        results: List[Optional[RequestResult]] = [None] * len(assignments)
-        wall = 0.0
-        for p in range(self.processes):
-            _, value, _ = self._recv(p)
-            seconds, batch = value
-            wall = max(wall, seconds)
-            if len(batch) != len(order[p]):
-                raise RuntimeError(
-                    f"shard {p} returned {len(batch)} results for "
-                    f"{len(order[p])} requests"
-                )
-            for position, result in zip(order[p], batch):
-                results[position] = result
-                if result.status == "ok":
-                    self._busy[result.worker] += result.sim_cycles
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:
-            raise RuntimeError(
-                f"parallel serving lost results for request positions {missing}"
-            )
-        return wall, results  # type: ignore[return-value]
 
     def close(self) -> None:
         for conn in self._conns:

@@ -2,16 +2,16 @@
 
 The :class:`ServingEngine` multiplexes independent inference requests
 over a pool of long-lived, reusable
-:class:`~repro.serve.worker.SystemWorker` instances — the throughput
-layer the ROADMAP's "serve heavy traffic" north-star asks for, built on
-the lifecycle guarantees of ``ArcaneSystem.reset_heap()``.  Both serving
-modes are thin frontends over the unified
-:class:`~repro.serve.dispatch.DispatchCore`:
+:class:`~repro.serve.worker.SystemWorker` instances, built on the
+lifecycle guarantees of ``ArcaneSystem.reset_heap()``.  Both serving
+modes take one path: a single runner drives the
+:class:`~repro.serve.dispatch.DispatchCore`, and only the clock differs:
 
-* **offline** (:meth:`ServingEngine.serve`) computes request→worker
-  assignment up front — balancing estimated load by operand volume
-  (``least_loaded``) or strictly round-robin — and runs the core on the
-  dispatch-sequence clock (immediate retries, no simulated timeline);
+* **offline** (:meth:`ServingEngine.serve`) computes a request→worker
+  assignment up front — balancing estimated service cost
+  (``least_loaded``, by :func:`~repro.serve.dispatch.estimate_service_cycles`)
+  or strictly round-robin — and runs the core on the dispatch-sequence
+  clock (immediate retries, no simulated timeline);
 * **online** (:meth:`ServingEngine.serve_online`) replays seeded request
   arrivals in simulated time on the cycle clock: admission-policy
   ordering (FIFO / priority / EDF / SJF), least-backlog dispatch,
@@ -21,11 +21,10 @@ modes are thin frontends over the unified
   attempt)``) and mirrors the decision to the worker's owning backend,
   so retry/failover/quarantine behave — and report — bit-identically
   whether the pool is in-process or partitioned over OS processes;
-* **parallelism** — with ``processes > 1`` the pool lives in a
+* **multi-process pools** — with ``processes > 1`` the pool lives in a
   persistent :class:`~repro.serve.dispatch.ProcessPool` (worker ``w`` in
-  shard ``w % processes``); a no-fault offline batch fans out statically
-  for wall-clock speed, everything else keeps decisions in the parent's
-  core with execution remote;
+  shard ``w % processes``); every decision stays in the parent's core
+  and only execution is remote;
 * **fleet replay sharing** — ``share_replay=True`` connects every
   worker's replay cache through a
   :class:`~repro.serve.fleet.FleetReplayCache` (piggybacked over the
@@ -33,8 +32,8 @@ modes are thin frontends over the unified
   whole pool; results are bit-exact with the cache off;
 * **aggregation** — per-request :class:`RunReport`s fold into a
   :class:`~repro.eval.serving.ServingReport` with throughput, latency
-  percentiles, an availability section and per-worker replay-cache
-  deltas.
+  percentiles, an availability section, the dispatch event log and
+  per-worker replay-cache deltas.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from repro.serve.dispatch import (
     DispatchCore,
     ProcessPool,
     SerialPool,
+    estimate_service_cycles,
 )
 from repro.serve.faults import (
     FaultInjector,
@@ -280,46 +280,23 @@ class ServingEngine:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _assign(
-        self, requests: Sequence[InferenceRequest]
-    ) -> List[Tuple[int, InferenceRequest]]:
-        """Map every request to a worker index before execution.
+    def _assign(self, requests: Sequence[InferenceRequest]) -> List[int]:
+        """The preferred worker of every request, chosen before execution.
 
-        ``least_loaded`` balances *estimated* load by operand volume
-        (requests are assigned before they run, as a front-end load
-        balancer would); ``round_robin`` ignores load entirely.
+        ``least_loaded`` balances *estimated* service cost
+        (:func:`~repro.serve.dispatch.estimate_service_cycles`; requests
+        are assigned before they run, as a front-end load balancer
+        would); ``round_robin`` ignores load entirely.
         """
-        assignments: List[Tuple[int, InferenceRequest]] = []
         if self.policy == "round_robin":
-            for i, request in enumerate(requests):
-                assignments.append((i % self.pool_size, request))
-            return assignments
+            return [i % self.pool_size for i in range(len(requests))]
         load = [0] * self.pool_size
+        assignment: List[int] = []
         for request in requests:
             worker = min(range(self.pool_size), key=lambda w: (load[w], w))
-            load[worker] += self._estimate_cost(request)
-            assignments.append((worker, request))
-        return assignments
-
-    @staticmethod
-    def _estimate_cost(request: InferenceRequest) -> int:
-        """Cheap load proxy: total operand elements touched."""
-        payload = request.payload
-
-        def size(array: np.ndarray) -> int:
-            return int(np.asarray(array).size)
-
-        if request.kind == "gemm":
-            return size(payload["a"]) + size(payload["b"]) + size(payload["c"])
-        if request.kind == "conv_layer":
-            return size(payload["image"]) + size(payload["filters"])
-        if request.kind == "kernel":
-            return sum(size(m) for m in payload["inputs"])
-        if request.kind == "graph":
-            return sum(size(m) for m in payload["inputs"].values()) + sum(
-                node.out_shape[0] * node.out_shape[1] for node in payload["nodes"]
-            )
-        return 1
+            load[worker] += estimate_service_cycles(request)
+            assignment.append(worker)
+        return assignment
 
     # -- serving --------------------------------------------------------------
 
@@ -423,6 +400,11 @@ class ServingEngine:
     ) -> ServingReport:
         """Run every request as an offline batch, return the aggregate report.
 
+        Each request goes first to the worker the engine's ``policy``
+        assigned it, in submission order; the dispatch core runs the
+        batch on the dispatch-sequence clock, so the report's event log
+        counts dispatch steps rather than simulated cycles.
+
         Per-request results (with outputs) are kept on ``report.results``;
         with ``verify=True`` (or ``verify="strict"``) every completed
         output is checked against the numpy golden model and any mismatch
@@ -438,71 +420,11 @@ class ServingEngine:
         non-retryable failures become ``status="failed"`` results.  A
         ``faults`` spec (e.g. ``"kill:0.1"``, see
         :meth:`~repro.serve.faults.FaultPlan.parse`) injects seeded
-        faults deterministically — in any pool layout: fault decisions
-        are drawn in the dispatch core, so multi-process runs are
-        bit-identical to serial ones.  A no-fault, no-retry batch on
-        ``processes > 1`` takes a static fan-out fast path (same results,
-        concurrent shards).
+        faults deterministically.  Reports are bit-identical for any
+        ``processes`` setting: fault decisions are drawn in the dispatch
+        core and only execution is remote.
         """
-        requests = list(requests)
-        self._check_unique_ids(requests)
-        self._autotune_requests(requests)
-        plan = FaultPlan.coerce(faults)
-        assignments = self._assign(requests)
-        backend = self._get_backend()
-        replay_before = backend.replay_stats()
-        # wall time covers serving on a ready pool in every mode: the
-        # serial pool is built in __init__, process shards on first use.
-        if (
-            self.processes > 1 and plan is None and retry is None
-            and self.integrity == "off"
-        ):
-            # static fast path: assignment is precomputed and nothing can
-            # reorder it, so shards run their slices concurrently; an
-            # integrity policy needs the core's escalation loop, so it
-            # always takes the dispatch path
-            wall, results = backend.run_batch(assignments)
-            health = None
-            events = None
-            injector = None
-            core = None
-        else:
-            injector = FaultInjector(plan, fault_seed) if plan else None
-            supervisor = WorkerSupervisor(self.pool_size)
-            before = backend.health_snapshots()
-            core = DispatchCore(
-                backend, clock=SEQUENCE_CLOCK, admission=self.admission,
-                injector=injector, retry=retry, supervisor=supervisor,
-            )
-            preferred = [worker for worker, _ in assignments]
-            start = time.perf_counter()
-            results = core.run(requests, preferred=preferred)
-            wall = time.perf_counter() - start
-            health = self._collect_health(injector, supervisor, core.tally, before)
-            events = core.events
-        # offline dispatch order is positional either way; the report
-        # still records the engine's policy so runs are comparable
-        admission = self.admission.kind
-
-        verified: Optional[bool] = None
-        validated = self._validate_mode(verify)
-        if validated is not None:
-            verified = self._verify_outputs(requests, results, validate=validated)
-
-        report = build_serving_report(
-            results, self.pool_size, self.processes, self.policy, wall, verified,
-            faults=plan.describe() if plan else None, health=health,
-            requested_processes=self.requested_processes, admission=admission,
-        )
-        report.results = results  # per-request detail rides along (not in JSON)
-        if events is not None:
-            report.dispatch_events = events
-        report.replay = self._replay_delta(replay_before)
-        report.autotune = self._autotune_report()
-        report.integrity = self._collect_integrity(
-            injector, core, requests, results, validated
-        )
-        return report
+        return self._run(requests, SEQUENCE_CLOCK, verify, faults, fault_seed, retry)
 
     @staticmethod
     def _validate_mode(verify: Union[bool, str]) -> Optional[str]:
@@ -520,7 +442,7 @@ class ServingEngine:
     def _collect_integrity(
         self,
         injector: Optional[FaultInjector],
-        core: Optional[DispatchCore],
+        core: DispatchCore,
         requests: Sequence[InferenceRequest],
         results: Sequence[RequestResult],
         validated: Optional[str],
@@ -546,7 +468,7 @@ class ServingEngine:
                 for kind in CORRUPTION_KINDS
                 if kind in injector.injected
             }
-        positions = list(core.corrupted_positions) if core is not None else []
+        positions = list(core.corrupted_positions)
         detected = len(positions)
         recovered = sum(
             1 for p in positions if p < len(results) and results[p].status == "ok"
@@ -556,18 +478,13 @@ class ServingEngine:
             for r in results
             if r.integrity is not None and r.integrity.get("corrected")
         )
-        tally = (
-            dict(core.corruption_tally)
-            if core is not None
-            else {"escalations": 0, "bypass_retries": 0, "failover_escalations": 0}
-        )
         section: Dict = {
             "policy": self.integrity,
             "injected": injected,
             "detected": detected,
             "corrected": corrected,
             "recovered": recovered,
-            "escalations": tally,
+            "escalations": dict(core.corruption_tally),
         }
         if validated == "report":
             undetected = sum(1 for r in results if r.status == "corrupted")
@@ -666,18 +583,47 @@ class ServingEngine:
         (``report.spans``, exportable to Perfetto via
         :func:`repro.obs.export.write_chrome_trace`), a rolling-metrics
         ``timeline`` (window width ``metrics_interval`` cycles, auto
-        when ``None``), the raw dispatch event log behind
-        :meth:`~repro.eval.serving.ServingReport.events`, and per-launch
-        replay tags on each result.  All of it is host-side bookkeeping:
-        outputs and cycle counts are bit-identical with ``observe=False``.
+        when ``None``) and per-launch replay tags on each result.  All of
+        it is host-side bookkeeping: outputs and cycle counts are
+        bit-identical with ``observe=False``.
         """
-        requests = list(requests)
-        self._check_unique_ids(requests)
-        self._autotune_requests(requests)
         spec: Optional[TrafficSpec] = None
         if traffic is not None:
             spec = traffic if isinstance(traffic, TrafficSpec) else TrafficSpec.parse(traffic)
-            requests = stamp_arrivals(requests, spec, seed)
+        return self._run(
+            requests, CYCLE_CLOCK, verify, faults, fault_seed, retry,
+            traffic=spec, seed=seed, queue_capacity=queue_capacity,
+            observe=observe, metrics_interval=metrics_interval,
+        )
+
+    def _run(
+        self,
+        requests: Sequence[InferenceRequest],
+        clock: str,
+        verify: Union[bool, str],
+        faults: Optional[Union[str, FaultPlan]],
+        fault_seed: int,
+        retry: Optional[RetryPolicy],
+        traffic: Optional[TrafficSpec] = None,
+        seed: int = 0,
+        queue_capacity: Optional[int] = None,
+        observe: bool = False,
+        metrics_interval: Optional[int] = None,
+    ) -> ServingReport:
+        """The one serving path: run the dispatch core on ``clock``, report.
+
+        Offline (:data:`SEQUENCE_CLOCK`) passes the engine's precomputed
+        assignment as each request's preferred worker; online
+        (:data:`CYCLE_CLOCK`) first stamps ``traffic`` arrivals, if given.
+        """
+        requests = list(requests)
+        self._check_unique_ids(requests)
+        validated = self._validate_mode(verify)
+        self._autotune_requests(requests)
+        online = clock == CYCLE_CLOCK
+        if traffic is not None:
+            requests = stamp_arrivals(requests, traffic, seed)
+        preferred = None if online else self._assign(requests)
         plan = FaultPlan.coerce(faults)
         injector = FaultInjector(plan, fault_seed) if plan else None
         supervisor = WorkerSupervisor(self.pool_size)
@@ -686,31 +632,33 @@ class ServingEngine:
             recorder = SpanRecorder()
             supervisor.recorder = recorder
         backend = self._get_backend()
-        before = backend.health_snapshots()
+        health_before = backend.health_snapshots()
         replay_before = backend.replay_stats()
         core = DispatchCore(
-            backend, clock=CYCLE_CLOCK, admission=self.admission,
+            backend, clock=clock, admission=self.admission,
             injector=injector, retry=retry, supervisor=supervisor,
             queue_capacity=queue_capacity, recorder=recorder,
         )
+        # wall time covers serving on a ready pool: the serial pool is
+        # built in __init__, process shards on first use
         start = time.perf_counter()
-        results = core.run(requests)
+        results = core.run(requests, preferred=preferred)
         wall = time.perf_counter() - start
 
         verified: Optional[bool] = None
-        validated = self._validate_mode(verify)
         if validated is not None:
             verified = self._verify_outputs(requests, results, validate=validated)
-
-        health = self._collect_health(injector, supervisor, core.tally, before)
+        health = self._collect_health(injector, supervisor, core.tally, health_before)
+        arrivals = traffic.describe() if traffic is not None else "replay"
         report = build_serving_report(
             results, self.pool_size, self.processes, self.policy, wall, verified,
-            mode="online", traffic=spec.describe() if spec else "replay",
+            mode="online" if online else "offline",
+            traffic=arrivals if online else None,
             faults=plan.describe() if plan else None, health=health,
             requested_processes=self.requested_processes,
             admission=self.admission.kind,
         )
-        report.results = results
+        report.results = results  # per-request detail rides along (not in JSON)
         report.dispatch_events = list(core.events)
         report.replay = self._replay_delta(replay_before)
         report.autotune = self._autotune_report()

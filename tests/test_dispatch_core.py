@@ -88,6 +88,7 @@ def assert_reports_identical(serial, parallel):
         payload.pop("requested_processes", None)
         payload.pop("replay", None)  # per-shard cache locality may differ
     assert a_dict == b_dict
+    assert serial.events() == parallel.events()
 
 
 class TestSerialMultiprocessEquivalence:
@@ -129,10 +130,14 @@ class TestSerialMultiprocessEquivalence:
         )
         assert_reports_identical(serial, parallel)
 
-    def test_offline_static_fast_path(self, rng):
+    def test_offline_without_faults(self, rng):
+        """A no-fault offline batch runs through the dispatch core in every
+        pool layout, so the multi-process run logs the same events too."""
         serial, parallel = serve_pair(
             gemm_batch(rng, 6), pool_size=3, online=False, verify=True,
         )
+        assert parallel.processes == 2
+        assert len(serial.events()) == 18  # arrival, dispatch, completion each
         assert_reports_identical(serial, parallel)
 
 

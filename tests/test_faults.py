@@ -7,12 +7,14 @@ import pytest
 
 from repro.core.config import ArcaneConfig
 from repro.serve import (
+    CYCLE_CLOCK,
+    DispatchCore,
     FaultInjector,
     FaultPlan,
     GraphNode,
-    OnlineDispatcher,
     RequestRejected,
     RetryPolicy,
+    SerialPool,
     ServingEngine,
     SystemWorker,
     WorkerSupervisor,
@@ -394,8 +396,9 @@ class TestOnlineFaults:
     def test_online_fail_retry_events_interleave(self, rng):
         workers = [SystemWorker(i, CFG) for i in range(2)]
         plan = FaultPlan.parse("kill:0.3")
-        dispatcher = OnlineDispatcher(
-            workers, injector=FaultInjector(plan, seed=1),
+        dispatcher = DispatchCore(
+            SerialPool(workers), clock=CYCLE_CLOCK,
+            injector=FaultInjector(plan, seed=1),
             supervisor=WorkerSupervisor(2),
         )
         requests = stamp_arrivals(

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +10,11 @@ from repro.compiler import FUNC5_CGEMM, FUNC5_EWISE_ADD, FUNC5_FC, FUNC5_ROWSUM
 from repro.core.config import ArcaneConfig
 from repro.eval.serving import build_serving_report, latency_stats, percentile
 from repro.serve import (
+    CYCLE_CLOCK,
+    DispatchCore,
     GraphNode,
     InferenceRequest,
-    OnlineDispatcher,
+    SerialPool,
     ServingEngine,
     SystemWorker,
     TrafficSpec,
@@ -119,7 +120,7 @@ class TestEngineServing:
 
     def test_long_lived_pool_survives_many_requests(self, rng):
         """The acceptance-criteria scenario, sized for the test suite: one
-        pool, many requests, no MemoryError, no deadlock."""
+        pool, many requests, no MainMemoryError, no deadlock."""
         engine = ServingEngine(pool_size=2, config=CFG)
         report = engine.serve(mixed_requests(rng, 40), verify=True)
         assert report.n_requests == 40
@@ -384,7 +385,8 @@ class TestTrafficEdgeCases:
         probe = worker.run(requests[0])
         service = probe.sim_cycles
         trace = f"trace:0,{service + 1000}"  # second arrival after completion
-        dispatcher = OnlineDispatcher([SystemWorker(0, CFG)])
+        dispatcher = DispatchCore(
+            SerialPool([SystemWorker(0, CFG)]), clock=CYCLE_CLOCK)
         results = dispatcher.run(
             stamp_arrivals(requests, TrafficSpec.parse(trace)))
         log = [(e.kind, e.request_id) for e in dispatcher.events]
@@ -519,7 +521,7 @@ class TestOnlineServing:
                                        traffic="poisson:25", seed=7)
         del requests  # report unused; inspect the dispatcher via a fresh run
         workers = [SystemWorker(i, CFG) for i in range(2)]
-        dispatcher = OnlineDispatcher(workers)
+        dispatcher = DispatchCore(SerialPool(workers), clock=CYCLE_CLOCK)
         stamped = stamp_arrivals(mixed_requests(rng, 6),
                                  TrafficSpec.parse("poisson:25"), seed=7)
         dispatcher.run(stamped)
@@ -528,46 +530,6 @@ class TestOnlineServing:
         kinds = {event.kind for event in dispatcher.events}
         assert kinds == {"arrival", "dispatch", "completion"}
         assert dispatcher.makespan_cycles == max(dispatcher.free_at)
-
-
-class TestParallelReassembly:
-    """ProcessPool.run_batch scatters shard batches back to submission
-    order; a short shard must raise, never silently drop a result."""
-
-    @staticmethod
-    def _stub_pool(batches):
-        from repro.serve.dispatch import ProcessPool
-
-        pool = ProcessPool.__new__(ProcessPool)
-        pool.pool_size = 2
-        pool.processes = 2
-        pool.shard_of = {0: 0, 1: 1}
-        pool._busy = [0, 0]
-        pool._updates = [[], []]
-        pool._send = lambda shard, command, **kwargs: None
-        pool._recv = lambda shard: ("ok", batches[shard], None)
-        return pool
-
-    @staticmethod
-    def _result(name):
-        return SimpleNamespace(status="failed", worker=-1, name=name)
-
-    def test_short_shard_raises(self, rng):
-        requests = mixed_requests(rng, 2)
-        pool = self._stub_pool({0: (0.0, []), 1: (0.0, [self._result("r1")])})
-        with pytest.raises(RuntimeError, match="shard 0 returned 0 results"):
-            pool.run_batch([(0, requests[0]), (1, requests[1])])
-
-    def test_run_batch_restores_submission_order(self, rng):
-        requests = mixed_requests(rng, 3)
-        r0, r1, r2 = (self._result(f"r{i}") for i in range(3))
-        # worker 0 (shard 0) serves positions 0 and 2; worker 1 position 1
-        pool = self._stub_pool({0: (0.5, [r0, r2]), 1: (0.25, [r1])})
-        wall, results = pool.run_batch(
-            [(0, requests[0]), (1, requests[1]), (0, requests[2])]
-        )
-        assert results == [r0, r1, r2]
-        assert wall == 0.5  # the slowest shard's serving loop
 
 
 def test_partial_timeline_rejected_by_online_report(rng):

@@ -12,6 +12,7 @@ import pytest
 from repro.baselines.reference import ref_conv_layer, ref_leaky_relu
 from repro.core.config import ArcaneConfig
 from repro.core.system import ArcaneSystem
+from repro.mem.memory import MainMemoryError
 
 CFG = ArcaneConfig(n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8, main_memory_kib=192)
 
@@ -39,8 +40,9 @@ class TestBackToBackPrograms:
             system.reset_heap()
 
     def test_heap_does_not_grow_across_resets(self, rng):
-        """The old bump-only allocator leaked until MemoryError; with resets
-        a small memory map survives far more programs than it could hold."""
+        """The old bump-only allocator leaked until the heap ran out; with
+        resets a small memory map survives far more programs than it could
+        hold."""
         x, f = conv_operands(rng)
         system = ArcaneSystem(CFG)
         for _ in range(40):  # 40 * (3 matrices) would blow a 192 KiB map
@@ -51,10 +53,10 @@ class TestBackToBackPrograms:
         }
 
     def test_exhaustion_without_reset_still_raises(self, rng):
-        """No silent wrap-around: a leaking caller still gets MemoryError,
-        now with a hint at the reclamation API."""
+        """No silent wrap-around: a leaking caller still gets
+        MainMemoryError, with a hint at the reclamation API."""
         system = ArcaneSystem(CFG)
-        with pytest.raises(MemoryError, match="reset_heap"):
+        with pytest.raises(MainMemoryError, match="reset_heap"):
             for _ in range(10_000):
                 system.alloc_matrix((16, 16), np.int32)
 
