@@ -9,10 +9,13 @@ delay — because they are seeded-deterministic: a regression means the
 dispatch core, the scheduler, or the replay cache actually got worse,
 not that CI drew a slow machine.  Wall-clock metrics are never compared.
 
-Sections are compared only when their workload/system configuration
-matches between the two records (request count, pool size, traffic spec,
-seeds).  A mismatched section — e.g. CI's bounded ``--scale`` run vs the
-committed full-scale record — is skipped with a note, not failed.
+The offline/online sections are compared only when their
+workload/system configuration matches between the two records (request
+count, pool size, traffic spec, seeds); a mismatched one is skipped with
+a note.  The fresh ``scale`` section is compared against whichever
+committed scale section has its configuration: ``scale`` (the
+full-scale record) or ``scale_bounded`` (the CI run's ``--scale-requests
+300 --scale-pool 8``).  A scale section that matches neither fails.
 
 The committed baseline itself is validated: its ``scale`` section must
 report ``pool_size >= 32`` and ``requests >= 10000`` (the scale
@@ -21,10 +24,11 @@ bounded one.
 
 When the fresh record carries an ``integrity`` section (the bench ran
 with ``--integrity``), it is gated on its own terms, no baseline
-needed: the drill must actually have drawn and manifested corruption
-(a recall over an empty sample proves nothing), the ``abft`` policy
-must report detection recall 1.0 over the ABFT-covered gemm-family
-kernels, and the clean-run overhead of the policy must stay bounded
+needed: the drill must have manifested at least 30 corruptions (caught
+plus undetected; a recall over a tiny sample proves nothing), and the
+Wilson 95% lower bound of caught / manifested is printed.  The ``abft``
+policy must report detection recall 1.0 over the ABFT-covered
+gemm-family kernels, and the clean-run overhead of the policy must stay bounded
 (ABFT adds host-side checks only, so its simulated-cycle ratio is
 pinned at ~1.0).
 
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -60,6 +65,12 @@ ABS_FLOOR_CYCLES = 2000.0
 
 MIN_SCALE_POOL = 32
 MIN_SCALE_REQUESTS = 10000
+#: Committed scale sections a fresh ``scale`` section may be compared to.
+SCALE_BASELINES = ("scale", "scale_bounded")
+
+#: Fewest manifested corruptions (caught + undetected) for a drill's
+#: recall to mean something.
+MIN_MANIFESTED = 30
 
 #: Integrity-drill bounds.  ABFT checksums run host-side, so the clean
 #: run must cost no extra simulated cycles; the wall-clock bound is
@@ -123,6 +134,17 @@ def compare(name: str, base: dict, curr: dict, metrics, threshold: float):
         yield regressed
 
 
+def wilson_lower_bound(successes: int, trials: int, z: float = 1.96) -> float:
+    """Lower end of the Wilson score interval for a binomial proportion."""
+    if trials <= 0:
+        return 0.0
+    p = successes / trials
+    z2 = z * z
+    centre = p + z2 / (2 * trials)
+    margin = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
+    return (centre - margin) / (1 + z2 / trials)
+
+
 def check_integrity(section: dict) -> int:
     """Gate the fresh record's integrity drill; returns failure count.
 
@@ -138,14 +160,19 @@ def check_integrity(section: dict) -> int:
     covered = section.get("covered") or {}
     print(f"integrity (policy={policy}, faults={section.get('faults')}):")
 
-    if injected <= 0 or caught + undetected <= 0:
+    manifested = caught + undetected
+    if manifested < MIN_MANIFESTED:
         print(f"  sample: injected={injected} caught={caught} "
-              f"undetected={undetected} [FAIL] — no manifested corruption, "
-              f"recall is vacuous; raise the drill's corruption rate")
+              f"undetected={undetected} [FAIL] — fewer than {MIN_MANIFESTED} "
+              f"manifested corruptions, recall is not meaningful; raise the "
+              f"drill's corruption rate")
         failures += 1
     else:
         print(f"  sample: injected={injected} caught={caught} "
               f"undetected={undetected} [ok]")
+        print(f"  recall: {caught}/{manifested} = {caught / manifested:.3f}, "
+              f"Wilson 95% lower bound "
+              f"{wilson_lower_bound(caught, manifested):.3f}")
 
     if policy == "abft":
         recall = covered.get("recall")
@@ -168,6 +195,36 @@ def check_integrity(section: dict) -> int:
             status = "FAIL" if value > bound else "ok"
             print(f"  {label}: {value:g} (bound {bound:g}) [{status}]")
             failures += value > bound
+    return failures
+
+
+def check_scale(baseline: dict, current: dict, threshold: float) -> int:
+    """Gate each fresh scale section against the committed scale section
+    with the same configuration; returns failure count."""
+    curr_scale = current.get("scale")
+    if curr_scale is None:
+        print("scale: absent in current record, skipped")
+        return 0
+    failures = 0
+    for name, curr in (curr_scale.get("sections") or {}).items():
+        wanted = scale_config(curr_scale, curr)
+        match = None
+        for key in SCALE_BASELINES:
+            base_scale = baseline.get(key) or {}
+            base = (base_scale.get("sections") or {}).get(name)
+            if base is not None and scale_config(base_scale, base) == wanted:
+                match = key, base
+                break
+        if match is None:
+            print(f"scale.{name}: no committed {'/'.join(SCALE_BASELINES)} "
+                  f"section matches configuration {wanted} [FAIL]")
+            failures += 1
+            continue
+        key, base = match
+        print(f"scale.{name} (vs baseline {key}):")
+        failures += sum(
+            compare(f"scale.{name}", base, curr, SCALE_METRICS, threshold)
+        )
     return failures
 
 
@@ -215,20 +272,7 @@ def main() -> int:
     else:
         failures += check_integrity(integrity)
 
-    curr_scale = current.get("scale") or {}
-    for name, base in (base_scale.get("sections") or {}).items():
-        curr = (curr_scale.get("sections") or {}).get(name)
-        if curr is None:
-            print(f"scale.{name}: absent in current record, skipped")
-            continue
-        if scale_config(base_scale, base) != scale_config(curr_scale, curr):
-            print(f"scale.{name}: configuration differs from baseline "
-                  f"(bounded CI run?), skipped")
-            continue
-        print(f"scale.{name}:")
-        failures += sum(
-            compare(f"scale.{name}", base, curr, SCALE_METRICS, args.threshold)
-        )
+    failures += check_scale(baseline, current, args.threshold)
 
     if failures:
         print(f"\n{failures} serving regression check(s) failed "

@@ -16,8 +16,12 @@ VPU throughput               NM-Carus: ``lanes`` 32-bit lanes, sub-word
                              SIMD packing (4/2/1 elems per lane for
                              b/h/w), small per-instruction startup
 ``issue_cycles = 24``        eCPU software dispatch loop per vector
-                             instruction; tuned so single-instance int8
-                             speedups land in the paper's 30-84x decade
+                             instruction.  It does *not* land the
+                             single-instance int8 speedups on the
+                             paper's 30x / 84x anchors:
+                             ``headline_speedups()`` gives 153.8x for
+                             3x3 and 115.8x for 7x7, so the paper's
+                             7x7 > 3x3 ordering is inverted
 ``offchip_latency = 80``     external flash/PSRAM burst penalty; sets
                              the allocation-phase share near Figure 3's
                              saturation levels

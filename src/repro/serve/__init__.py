@@ -38,7 +38,6 @@ from repro.serve.dispatch import (
     AdmissionPolicy,
     DispatchCore,
     OnlineEvent,
-    ProcessPool,
     SerialPool,
     estimate_service_cycles,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "InferenceRequest",
     "KernelKilledError",
     "OnlineEvent",
-    "ProcessPool",
     "RequestRejected",
     "RequestResult",
     "RetryPolicy",

@@ -1,7 +1,7 @@
 """The dispatch core: one scheduling loop for every serving mode.
 
-:class:`DispatchCore` is the single event loop behind offline, online
-and multi-process serving.  It owns admission, worker selection,
+:class:`DispatchCore` is the single event loop behind offline and
+online serving.  It owns admission, worker selection,
 retry/failover, quarantine, deadlines and span/metrics hooks, and is
 parameterized by three orthogonal pieces of data (the Exo/SYS_ATL
 scheduling-as-data idiom: one fixed algorithm, policies as values):
@@ -19,26 +19,12 @@ scheduling-as-data idiom: one fixed algorithm, policies as values):
   :func:`estimate_service_cycles`) re-order the backlog whenever
   requests are queued.  The pending heap is keyed ``(ready, *rank,
   seq)``; FIFO's rank is empty;
-* a **pool backend** — :class:`SerialPool` executes on in-process
-  :class:`~repro.serve.worker.SystemWorker` instances;
-  :class:`ProcessPool` partitions the pool over OS processes (worker
-  ``w`` lives in shard ``w % processes``) behind the same call
-  protocol.
+* a **pool** — :class:`SerialPool` executes on in-process
+  :class:`~repro.serve.worker.SystemWorker` instances.
 
 Fault decisions live in the **core**, not the worker: the core calls
-:meth:`FaultInjector.before_attempt` itself and mirrors the decision to
-the owning backend, so serial and multi-process runs draw identical
-faults in identical order.  Combined with two invariants — per-request
-results are bit-exact with single-shot cold runs (``reset_heap()``) and
-injected faults fire *before* execution — serial and multi-process
-reports are bit-identical (outputs, statuses, simulated cycles, event
-logs, availability).
-
-The :class:`ProcessPool` also carries the **shared fleet replay cache**
-(:mod:`repro.serve.fleet`): recordings a shard publishes ride back on
-its replies and are forwarded to the other shards with the next command,
-so one worker's first launch warms the whole pool across process
-boundaries.
+:meth:`FaultInjector.before_attempt` itself, in deterministic dispatch
+order, and applies the decision's worker-side effects directly.
 """
 
 from __future__ import annotations
@@ -213,20 +199,16 @@ class AdmissionPolicy:
         )
 
 
-# -- pool backends ------------------------------------------------------------
+# -- the pool -----------------------------------------------------------------
 
 
 class SerialPool:
-    """In-process backend over a list of :class:`SystemWorker`."""
+    """The worker pool: in-process :class:`SystemWorker` instances."""
 
     def __init__(self, workers: Sequence[SystemWorker]) -> None:
         if not workers:
-            raise ValueError("pool backend needs at least one worker")
+            raise ValueError("pool needs at least one worker")
         self.workers = list(workers)
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.workers)
 
     def execute(
         self,
@@ -243,298 +225,12 @@ class SerialPool:
             directives=directives, bypass_fastpath=bypass_fastpath,
         )
 
-    def apply_injected(self, worker: int, error: ServingError) -> None:
-        self.workers[worker].apply_injected(error)
-
-    def rebuild(self, worker: int) -> None:
-        self.workers[worker].rebuild()
-
-    def register_recipe(
-        self, name: str, recipe_json: str, func5: Optional[int] = None
-    ) -> None:
-        """Swap a tuned-recipe kernel variant into every worker."""
-        for worker in self.workers:
-            worker.register_recipe(name, recipe_json, func5)
-
-    def last_recovery(self, worker: int) -> Optional[Dict[str, Optional[str]]]:
-        return self.workers[worker].last_recovery
-
-    def busy_cycles(self, worker: int) -> int:
-        return self.workers[worker].busy_cycles
-
-    def health_snapshots(self) -> List[Dict[str, int]]:
-        return [w.health_snapshot() for w in self.workers]
-
-    def replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
-        stats: Dict[int, Optional[Dict[str, int]]] = {}
-        for w in self.workers:
-            cache = w.system.llc.runtime.replay_cache
-            stats[w.index] = dict(cache.stats) if cache is not None else None
-        return stats
-
-    def close(self) -> None:
-        pass
-
-
-def _pool_shard_main(
-    conn, worker_indices, config, with_compiled, share_replay, integrity="off"
-) -> None:
-    """Shard-process entry point: own a subset of workers, serve commands.
-
-    Every reply carries the shard's newly published fleet recordings and
-    any keys it *retracted* (poisoned recordings); every command may
-    carry recordings published — and retractions issued — by *other*
-    shards (applied before the command runs).  This is the
-    multiprocessing publish/subscribe path of the shared fleet replay
-    cache; because ``retract`` also cancels the shard's own pending
-    publishes, a recording poisoned and caught in the same command never
-    leaves its shard at all.
-    """
-    from repro.serve.fleet import FleetReplayCache
-
-    fleet = FleetReplayCache() if share_replay else None
-    workers = {
-        index: SystemWorker(
-            index, config, with_compiled, fleet=fleet, integrity=integrity
-        )
-        for index in worker_indices
-    }
-    while True:
-        try:
-            command, kwargs, updates, retracted = conn.recv()
-        except (EOFError, OSError):
-            break
-        if fleet is not None:
-            if retracted:
-                fleet.discard(retracted)
-            if updates:
-                fleet.adopt(updates)
-        if command == "close":
-            break
-        status: str = "ok"
-        value: Any = None
-        recovery: Optional[Dict[str, Optional[str]]] = None
-        try:
-            if command == "run":
-                worker = workers[kwargs["worker"]]
-                try:
-                    value = worker.run(
-                        kwargs["request"], attempt=kwargs["attempt"],
-                        observe=kwargs["observe"],
-                        slow_factor=kwargs["slow_factor"],
-                        directives=kwargs.get("directives", ()),
-                        bypass_fastpath=kwargs.get("bypass_fastpath", False),
-                    )
-                except ServingError as error:
-                    status, value = "err", error
-                recovery = worker.last_recovery
-            elif command == "inject":
-                worker = workers[kwargs["worker"]]
-                worker.apply_injected(kwargs["error"])
-                recovery = worker.last_recovery
-            elif command == "rebuild":
-                workers[kwargs["worker"]].rebuild()
-            elif command == "register_recipe":
-                # recipes are plain JSON: each shard recompiles locally
-                for worker in workers.values():
-                    worker.register_recipe(
-                        kwargs["name"], kwargs["recipe_json"], kwargs["func5"]
-                    )
-            elif command == "snapshots":
-                value = {w: worker.health_snapshot() for w, worker in workers.items()}
-            elif command == "replay":
-                value = {}
-                for w, worker in workers.items():
-                    cache = worker.system.llc.runtime.replay_cache
-                    value[w] = dict(cache.stats) if cache is not None else None
-            else:
-                status, value = "fatal", f"unknown pool command {command!r}"
-        except Exception as error:  # pragma: no cover - defensive
-            status, value = "fatal", f"{type(error).__name__}: {error}"
-        published = fleet.drain_outbox() if fleet is not None else []
-        retractions = fleet.drain_retractions() if fleet is not None else []
-        try:
-            conn.send((status, value, recovery, published, retractions))
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-            break
-    conn.close()
-
-
-class ProcessPool:
-    """Multi-process backend: worker ``w`` lives in shard ``w % processes``.
-
-    Each shard is a long-lived child process owning its workers
-    outright, driven over a pipe by the same protocol
-    :class:`SerialPool` implements in-process.  Execution is remote but
-    every *decision* stays in the parent's dispatch core, so
-    multi-process runs are bit-identical to serial ones.  The parent
-    mirrors per-worker busy cycles and the last recovery diagnostic from
-    replies, and relays fleet-cache recordings between shards (see
-    :func:`_pool_shard_main`).
-    """
-
-    def __init__(
-        self,
-        pool_size: int,
-        processes: int,
-        config=None,
-        with_compiled: bool = True,
-        share_replay: bool = False,
-        integrity: str = "off",
-    ) -> None:
-        import multiprocessing as mp
-
-        if not 1 <= processes <= pool_size:
-            raise ValueError("need 1 <= processes <= pool_size")
-        self.pool_size = pool_size
-        self.processes = processes
-        self.share_replay = share_replay
-        self.integrity = integrity
-        self.shard_of = {w: w % processes for w in range(pool_size)}
-        self._busy = [0] * pool_size
-        self._recovery: List[Optional[Dict[str, Optional[str]]]] = [None] * pool_size
-        #: recordings published by other shards, awaiting the next command
-        self._updates: List[list] = [[] for _ in range(processes)]
-        #: keys retracted by other shards, awaiting the next command
-        self._retracted: List[list] = [[] for _ in range(processes)]
-        self._conns = []
-        self._procs = []
-        ctx = mp.get_context()
-        for p in range(processes):
-            parent_conn, child_conn = ctx.Pipe()
-            indices = [w for w in range(pool_size) if w % processes == p]
-            proc = ctx.Process(
-                target=_pool_shard_main,
-                args=(child_conn, indices, config, with_compiled, share_replay,
-                      integrity),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-
-    @property
-    def n_workers(self) -> int:
-        return self.pool_size
-
-    def _distribute(self, shard: int, published: list, retractions: list) -> None:
-        for other in range(self.processes):
-            if other == shard:
-                continue
-            if published:
-                self._updates[other].extend(published)
-            if retractions:
-                self._retracted[other].extend(retractions)
-        if retractions:
-            # a retracted key must not resurface from a stale pending
-            # update either (shard A published it, shard B retracted it
-            # before shard C saw the publish)
-            keys = set(retractions)
-            for other in range(self.processes):
-                self._updates[other] = [
-                    (k, r) for k, r in self._updates[other] if k not in keys
-                ]
-
-    def _request(self, shard: int, command: str, **kwargs):
-        """One synchronous round-trip to a shard, relaying fleet updates."""
-        updates, self._updates[shard] = self._updates[shard], []
-        retracted, self._retracted[shard] = self._retracted[shard], []
-        conn = self._conns[shard]
-        conn.send((command, kwargs, updates, retracted))
-        status, value, recovery, published, retractions = conn.recv()
-        self._distribute(shard, published, retractions)
-        if status == "fatal":
-            raise RuntimeError(f"pool shard {shard} failed: {value}")
-        return status, value, recovery
-
-    def execute(
-        self,
-        worker: int,
-        request: InferenceRequest,
-        attempt: int = 1,
-        observe: bool = False,
-        slow_factor: float = 1.0,
-        directives: Sequence = (),
-        bypass_fastpath: bool = False,
-    ) -> RequestResult:
-        shard = self.shard_of[worker]
-        status, value, recovery = self._request(
-            shard, "run", worker=worker, request=request, attempt=attempt,
-            observe=observe, slow_factor=slow_factor,
-            directives=tuple(directives), bypass_fastpath=bypass_fastpath,
-        )
-        self._recovery[worker] = recovery
-        if status == "err":
-            raise value
-        self._busy[worker] += value.sim_cycles
-        return value
-
-    def apply_injected(self, worker: int, error: ServingError) -> None:
-        shard = self.shard_of[worker]
-        _, _, recovery = self._request(shard, "inject", worker=worker, error=error)
-        self._recovery[worker] = recovery
-
-    def rebuild(self, worker: int) -> None:
-        self._request(self.shard_of[worker], "rebuild", worker=worker)
-
-    def register_recipe(
-        self, name: str, recipe_json: str, func5: Optional[int] = None
-    ) -> None:
-        """Broadcast a tuned-recipe swap to every shard's workers."""
-        for shard in range(self.processes):
-            self._request(
-                shard, "register_recipe",
-                name=name, recipe_json=recipe_json, func5=func5,
-            )
-
-    def last_recovery(self, worker: int) -> Optional[Dict[str, Optional[str]]]:
-        return self._recovery[worker]
-
-    def busy_cycles(self, worker: int) -> int:
-        return self._busy[worker]
-
-    def _gather(self, command: str) -> Dict[int, Any]:
-        merged: Dict[int, Any] = {}
-        for shard in range(self.processes):
-            _, value, _ = self._request(shard, command)
-            merged.update(value)
-        return merged
-
-    def health_snapshots(self) -> List[Dict[str, int]]:
-        by_worker = self._gather("snapshots")
-        return [by_worker[w] for w in range(self.pool_size)]
-
-    def replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
-        return dict(sorted(self._gather("replay").items()))
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("close", {}, [], []))
-                conn.close()
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-        self._conns = []
-        self._procs = []
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            if self._procs:
-                self.close()
-        except Exception:
-            pass
-
 
 # -- the core -----------------------------------------------------------------
 
 
 class DispatchCore:
-    """One event loop for offline, online and parallel serving.
+    """One event loop for offline and online serving.
 
     The loop pops ``(ready, *rank, seq, attempt, position)`` entries off
     a pending heap.  Under :data:`CYCLE_CLOCK` ``ready`` is the
@@ -547,14 +243,14 @@ class DispatchCore:
     recording behave identically on both clocks (deadlines and the
     simulated timeline exist only in cycles).
 
-    The core draws every fault itself and mirrors worker-side effects
-    through the backend, so the same decisions reach the same workers
-    regardless of where those workers live.
+    The core draws every fault itself and applies its worker-side
+    effects (failure counters, crash and quarantine rebuilds) on the
+    pool's workers directly.
     """
 
     def __init__(
         self,
-        backend,
+        pool: SerialPool,
         clock: str = CYCLE_CLOCK,
         admission=None,
         injector: Optional[FaultInjector] = None,
@@ -567,9 +263,8 @@ class DispatchCore:
             raise ValueError(f"unknown clock {clock!r}; expected one of {CLOCKS}")
         if queue_capacity is not None and queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 (or None for unbounded)")
-        if backend.n_workers < 1:
-            raise ValueError("dispatch needs at least one worker")
-        self.backend = backend
+        self.pool = pool
+        self.workers = pool.workers
         self.clock = clock
         self.admission = AdmissionPolicy.coerce(admission)
         self.injector = injector
@@ -580,7 +275,7 @@ class DispatchCore:
         #: check per request (mirrors the Tracer's disabled path)
         self.recorder = recorder
         #: cycle at which each worker drains all dispatched work
-        self.free_at = [0] * backend.n_workers
+        self.free_at = [0] * len(self.workers)
         #: chronological event log (arrival/dispatch/completion/fail/retry/shed)
         self.events: List[OnlineEvent] = []
         #: availability tally for the serving report
@@ -610,7 +305,7 @@ class DispatchCore:
         if self.supervisor is not None:
             ready = self.supervisor.available(now)
         else:
-            ready = list(range(self.backend.n_workers))
+            ready = list(range(len(self.workers)))
         if avoid is not None and self.retry.failover:
             others = [w for w in ready if w != avoid]
             if others:
@@ -636,7 +331,7 @@ class DispatchCore:
             others = [w for w in candidates if w != avoid]
             if others:
                 pool = others
-        return min(pool, key=lambda w: (self.backend.busy_cycles(w), w))
+        return min(pool, key=lambda w: (self.workers[w].busy_cycles, w))
 
     def _attempt(
         self,
@@ -646,14 +341,14 @@ class DispatchCore:
         observe: bool,
         bypass_fastpath: bool = False,
     ) -> Tuple[Optional[RequestResult], Optional[ServingError]]:
-        """One attempt: draw the fault in the core, execute on the backend.
+        """One attempt: draw the fault in the core, execute on the pool.
 
         The injector decides the attempt's fate *here* — before any
         execution, in deterministic dispatch order — and the decision's
         worker-side effects (failure counters, crash rebuilds) are
-        mirrored to the owning backend, wherever the worker lives.
-        Corruption directives are drawn here too (same reason) and
-        shipped to the worker for application mid-execution.
+        applied to the worker.  Corruption directives are drawn here too
+        (same reason) and handed to the worker for application
+        mid-execution.
         """
         slow_factor = 1.0
         directives: Sequence = ()
@@ -661,11 +356,11 @@ class DispatchCore:
             try:
                 slow_factor = self.injector.before_attempt(request, attempt, worker)
             except ServingError as error:
-                self.backend.apply_injected(worker, error)
+                self.workers[worker].apply_injected(error)
                 return None, error
             directives = self.injector.corruption_for(request, attempt, worker)
         try:
-            result = self.backend.execute(
+            result = self.pool.execute(
                 worker, request, attempt=attempt, observe=observe,
                 slow_factor=slow_factor, directives=directives,
                 bypass_fastpath=bypass_fastpath,
@@ -938,7 +633,7 @@ class DispatchCore:
         supervision (quarantine rebuilds the worker's system)."""
         self.events.append(OnlineEvent(cycle, FAIL, request.request_id, worker))
         history.append(f"attempt {attempt} on worker {worker}: {error}")
-        recovery = self.backend.last_recovery(worker)
+        recovery = self.workers[worker].last_recovery
         if recovery and recovery.get("error"):
             history.append(
                 f"worker {worker} rebuilt after reset failure: {recovery['error']}"
@@ -949,7 +644,7 @@ class DispatchCore:
             quarantined = self.supervisor.record_failure(worker, cycle, error)
             if quarantined and not isinstance(error, WorkerCrashError):
                 # a crash already rebuilt the worker at injection time
-                self.backend.rebuild(worker)
+                self.workers[worker].rebuild()
                 self.recorder.instant("rebuilt", cycle, worker=worker)
 
     @property

@@ -16,20 +16,14 @@ modes take one path: a single runner drives the
   arrivals in simulated time on the cycle clock: admission-policy
   ordering (FIFO / priority / EDF / SJF), least-backlog dispatch,
   simulated retry backoff, deadlines and load shedding;
-* **fault tolerance** works in every mode and pool layout: the core
-  draws each seeded fault itself (hashing ``(fault_seed, request_id,
-  attempt)``) and mirrors the decision to the worker's owning backend,
-  so retry/failover/quarantine behave — and report — bit-identically
-  whether the pool is in-process or partitioned over OS processes;
-* **multi-process pools** — with ``processes > 1`` the pool lives in a
-  persistent :class:`~repro.serve.dispatch.ProcessPool` (worker ``w`` in
-  shard ``w % processes``); every decision stays in the parent's core
-  and only execution is remote;
+* **fault tolerance** works in both modes: the core draws each seeded
+  fault itself (hashing ``(fault_seed, request_id, attempt)``) and
+  applies the decision to the worker, so retry/failover/quarantine are
+  deterministic for a fixed seed;
 * **fleet replay sharing** — ``share_replay=True`` connects every
   worker's replay cache through a
-  :class:`~repro.serve.fleet.FleetReplayCache` (piggybacked over the
-  pool pipes when multi-process), so one worker's first launch warms the
-  whole pool; results are bit-exact with the cache off;
+  :class:`~repro.serve.fleet.FleetReplayCache`, so one worker's first
+  launch warms the whole pool; results are bit-exact with the cache off;
 * **aggregation** — per-request :class:`RunReport`s fold into a
   :class:`~repro.eval.serving.ServingReport` with throughput, latency
   percentiles, an availability section, the dispatch event log and
@@ -40,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,7 +53,6 @@ from repro.serve.dispatch import (
     SEQUENCE_CLOCK,
     AdmissionPolicy,
     DispatchCore,
-    ProcessPool,
     SerialPool,
     estimate_service_cycles,
 )
@@ -126,7 +118,6 @@ class ServingEngine:
         config: Optional[ArcaneConfig] = None,
         with_compiled: bool = True,
         policy: str = "least_loaded",
-        processes: int = 1,
         admission: Union[str, AdmissionPolicy, None] = "fifo",
         share_replay: bool = False,
         autotune: Union[bool, int, AutotunePolicy, None] = None,
@@ -136,26 +127,12 @@ class ServingEngine:
             raise ValueError("pool needs at least one system")
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
         self.pool_size = pool_size
         self.config = config
-        self.with_compiled = with_compiled
         self.policy = policy
         self.admission = AdmissionPolicy.coerce(admission)
         self.share_replay = share_replay
         self.integrity = coerce_policy(integrity)
-        #: what the caller asked for; ``processes`` is the effective count
-        self.requested_processes = processes
-        self.processes = min(processes, pool_size)
-        if self.processes < processes:
-            warnings.warn(
-                f"processes={processes} exceeds pool_size={pool_size}; "
-                f"running {self.processes} process(es) — one worker cannot "
-                "be split across processes",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         self.autotune = AutotunePolicy.coerce(autotune)
         self._tuner: Optional[Tuner] = None
         #: cumulative (kernel, geometry) request counts across serve calls
@@ -172,24 +149,14 @@ class ServingEngine:
                 self.admission, schedule_cache=self._tuner.cache,
                 config=self._tuner.config,
             )
-        self._workers: Optional[List[SystemWorker]] = None
-        self._backend = None
-        if self.processes == 1:
-            fleet = FleetReplayCache() if share_replay else None
-            self._workers = [
-                SystemWorker(
-                    i, config, with_compiled, fleet=fleet,
-                    integrity=self.integrity,
-                )
-                for i in range(pool_size)
-            ]
-            self._backend = SerialPool(self._workers)
-
-    @property
-    def workers(self) -> List[SystemWorker]:
-        if self._workers is None:
-            raise RuntimeError("worker pool lives in subprocesses (processes > 1)")
-        return self._workers
+        fleet = FleetReplayCache() if share_replay else None
+        self.pool = SerialPool([
+            SystemWorker(
+                i, config, with_compiled, fleet=fleet, integrity=self.integrity,
+            )
+            for i in range(pool_size)
+        ])
+        self.workers: List[SystemWorker] = self.pool.workers
 
     @property
     def schedule_cache(self) -> Optional[ScheduleCache]:
@@ -230,9 +197,8 @@ class ServingEngine:
             record = result.as_dict()
             record["swapped"] = result.best_recipe != result.default_recipe
             if record["swapped"]:
-                self._get_backend().register_recipe(
-                    name, result.best_recipe.to_json()
-                )
+                for worker in self.workers:
+                    worker.register_recipe(name, result.best_recipe.to_json())
             self._tuned[key] = record
 
     def _autotune_report(self) -> Optional[Dict]:
@@ -253,30 +219,9 @@ class ServingEngine:
             "tuned": [record for _, record in sorted(self._tuned.items())],
         }
 
-    def _get_backend(self):
-        """The pool backend, building the process shards on first use.
-
-        The :class:`ProcessPool` is persistent: shard processes (and
-        their replay caches) stay warm across ``serve`` calls, mirroring
-        the serial pool built in ``__init__``.
-        """
-        if self._backend is None:
-            self._backend = ProcessPool(
-                self.pool_size, self.processes, self.config, self.with_compiled,
-                share_replay=self.share_replay, integrity=self.integrity,
-            )
-        return self._backend
-
     def close(self) -> None:
-        """Shut down pool subprocesses (no-op for the serial pool)."""
-        if self._backend is not None:
-            self._backend.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+        """No-op: the in-process pool holds nothing to release.  Kept so
+        callers that manage an engine's lifetime need no special case."""
 
     # -- scheduling -----------------------------------------------------------
 
@@ -373,13 +318,20 @@ class ServingEngine:
             )
         return True
 
+    def _replay_stats(self) -> Dict[int, Optional[Dict[str, int]]]:
+        """Every worker's replay-cache counters (None with no cache)."""
+        stats: Dict[int, Optional[Dict[str, int]]] = {}
+        for worker in self.workers:
+            cache = worker.system.llc.runtime.replay_cache
+            stats[worker.index] = dict(cache.stats) if cache is not None else None
+        return stats
+
     def _replay_delta(
         self, before: Dict[int, Optional[Dict[str, int]]]
     ) -> Optional[Dict]:
         """Per-worker replay-cache stat deltas over one serving run."""
-        after = self._backend.replay_stats() if self._backend is not None else {}
         per_worker = {}
-        for worker, now in sorted(after.items()):
+        for worker, now in sorted(self._replay_stats().items()):
             if now is None:
                 continue
             base = before.get(worker) or {}
@@ -420,9 +372,8 @@ class ServingEngine:
         non-retryable failures become ``status="failed"`` results.  A
         ``faults`` spec (e.g. ``"kill:0.1"``, see
         :meth:`~repro.serve.faults.FaultPlan.parse`) injects seeded
-        faults deterministically.  Reports are bit-identical for any
-        ``processes`` setting: fault decisions are drawn in the dispatch
-        core and only execution is remote.
+        faults deterministically: fault decisions are drawn in the
+        dispatch core, in dispatch order.
         """
         return self._run(requests, SEQUENCE_CLOCK, verify, faults, fault_seed, retry)
 
@@ -527,9 +478,8 @@ class ServingEngine:
         """Fold injector/supervisor/worker state into the report's health
         record; worker counters are deltas over this serving run."""
         workers = {}
-        for index, (snapshot, now) in enumerate(
-            zip(before, self._backend.health_snapshots())
-        ):
+        for index, (snapshot, worker) in enumerate(zip(before, self.workers)):
+            now = worker.health_snapshot()
             workers[index] = {key: now[key] - snapshot[key] for key in now}
         return {
             "retries": tally["retries"],
@@ -573,10 +523,9 @@ class ServingEngine:
         deadline-aware shedding and ``timed_out`` statuses, and workers
         that fail repeatedly are quarantined then reinstated after
         probation.  Results are deterministic for a fixed ``(traffic,
-        seed, fault_seed)`` — and identical for any ``processes``
-        setting: the event loop runs in one simulated-time domain in the
-        parent, only execution is remote, and every per-request result
-        is order- and worker-independent by the reset-to-cold contract.
+        seed, fault_seed)``: the event loop runs in one simulated-time
+        domain, and every per-request result is order- and
+        worker-independent by the reset-to-cold contract.
 
         ``observe=True`` turns on the observability layer
         (:mod:`repro.obs`): the report gains per-request span trees
@@ -631,16 +580,14 @@ class ServingEngine:
         if observe:
             recorder = SpanRecorder()
             supervisor.recorder = recorder
-        backend = self._get_backend()
-        health_before = backend.health_snapshots()
-        replay_before = backend.replay_stats()
+        health_before = [worker.health_snapshot() for worker in self.workers]
+        replay_before = self._replay_stats()
         core = DispatchCore(
-            backend, clock=clock, admission=self.admission,
+            self.pool, clock=clock, admission=self.admission,
             injector=injector, retry=retry, supervisor=supervisor,
             queue_capacity=queue_capacity, recorder=recorder,
         )
-        # wall time covers serving on a ready pool: the serial pool is
-        # built in __init__, process shards on first use
+        # wall time covers serving on a ready pool, built in __init__
         start = time.perf_counter()
         results = core.run(requests, preferred=preferred)
         wall = time.perf_counter() - start
@@ -651,11 +598,10 @@ class ServingEngine:
         health = self._collect_health(injector, supervisor, core.tally, health_before)
         arrivals = traffic.describe() if traffic is not None else "replay"
         report = build_serving_report(
-            results, self.pool_size, self.processes, self.policy, wall, verified,
+            results, self.pool_size, self.policy, wall, verified,
             mode="online" if online else "offline",
             traffic=arrivals if online else None,
             faults=plan.describe() if plan else None, health=health,
-            requested_processes=self.requested_processes,
             admission=self.admission.kind,
         )
         report.results = results  # per-request detail rides along (not in JSON)

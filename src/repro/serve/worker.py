@@ -12,7 +12,7 @@ requests, the lifecycle bug this engine exists to exercise.
 The worker is also the **recovery boundary**.  Injected faults are drawn
 by the dispatch core before the attempt executes (so they never perturb
 the simulated machine — a later retry is bit-exact with a fault-free
-run) and mirrored here through :meth:`apply_injected`.  Every failure
+run) and applied here through :meth:`apply_injected`.  Every failure
 path funnels through :meth:`_recover`, which counts recoveries
 (``reset_heap`` sufficed) vs rebuilds (fresh system) and keeps the
 swallowed reset diagnostic for the failure record instead of silently
@@ -239,12 +239,11 @@ class SystemWorker:
         )
 
     def apply_injected(self, error: ServingError) -> None:
-        """Mirror an injected fault's worker-side effects.
+        """Apply an injected fault's worker-side effects.
 
-        The dispatch core draws fault decisions centrally (so serial and
-        multi-process runs make identical decisions in identical order)
-        and calls this on the owning backend: the attempt never executes,
-        the system stays clean, a crash loses all state.
+        The dispatch core draws fault decisions centrally, in dispatch
+        order, and calls this on the chosen worker: the attempt never
+        executes, the system stays clean, a crash loses all state.
         """
         self.last_recovery = None
         self.failures += 1

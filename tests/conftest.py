@@ -20,8 +20,8 @@ from repro.sim.trace import Tracer
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "dispatch: unified dispatch-core equivalence tests "
-        "(serial vs multi-process, shared fleet replay cache)",
+        "dispatch: dispatch-core tests "
+        "(offline event log, admission policies, shared fleet replay cache)",
     )
 
 

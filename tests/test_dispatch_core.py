@@ -1,13 +1,10 @@
-"""Unified dispatch-core equivalence tests (``pytest -m dispatch``).
+"""Dispatch-core tests (``pytest -m dispatch``).
 
-The acceptance bar for the dispatch refactor: a multi-process run must be
-bit-identical to the serial run for the same ``(traffic, seed, faults,
-fault_seed)``, and a run with the shared fleet replay cache must produce
-exactly the cold-cache outputs while giving workers replay hits on
-kernels they never launched first.
+The core logs every offline request's arrival, dispatch and completion;
+admission policies order the backlog; and a run with the shared fleet
+replay cache produces exactly the cold-cache outputs while giving
+workers replay hits on kernels they never launched first.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ import pytest
 from repro.core.config import ArcaneConfig
 from repro.serve import (
     AdmissionPolicy,
-    RetryPolicy,
     ServingEngine,
     estimate_service_cycles,
     gemm_request,
@@ -47,98 +43,20 @@ def repeated_gemm_batch(count, shape=(6, 8, 5)):
     return [gemm_request(rid, a, b) for rid in range(count)]
 
 
-def strip_wall(payload):
-    for volatile in ("wall_seconds", "requests_per_second"):
-        payload.pop(volatile, None)
-    return payload
-
-
-def serve_pair(requests, *, pool_size, online, **kwargs):
-    """Run the same workload serial and multi-process; return both reports."""
-    serial_engine = ServingEngine(pool_size=pool_size, config=CFG)
-    parallel_engine = ServingEngine(pool_size=pool_size, config=CFG, processes=2)
-    try:
-        if online:
-            serial = serial_engine.serve_online(requests, **kwargs)
-            parallel = parallel_engine.serve_online(requests, **kwargs)
-        else:
-            serial = serial_engine.serve(requests, **kwargs)
-            parallel = parallel_engine.serve(requests, **kwargs)
-    finally:
-        serial_engine.close()
-        parallel_engine.close()
-    return serial, parallel
-
-
-def assert_reports_identical(serial, parallel):
-    for a, b in zip(serial.results, parallel.results):
-        assert a.status == b.status
-        assert a.worker == b.worker
-        assert a.attempts == b.attempts
-        assert a.sim_cycles == b.sim_cycles
-        assert a.error == b.error
-        if a.output is None:
-            assert b.output is None
-        else:
-            assert np.array_equal(a.output, b.output)
-    a_dict = strip_wall(serial.as_dict())
-    b_dict = strip_wall(parallel.as_dict())
-    for payload in (a_dict, b_dict):
-        payload.pop("processes", None)
-        payload.pop("requested_processes", None)
-        payload.pop("replay", None)  # per-shard cache locality may differ
-    assert a_dict == b_dict
-    assert serial.events() == parallel.events()
-
-
-class TestSerialMultiprocessEquivalence:
-    def test_online_with_faults_and_retries(self, rng):
-        serial, parallel = serve_pair(
-            gemm_batch(rng, 8),
-            pool_size=3,
-            online=True,
-            traffic="poisson:25",
-            seed=7,
-            faults="kill:0.2,transient:0.1,slow:0.1:2x",
-            fault_seed=5,
-            retry=RetryPolicy(max_attempts=3, backoff_cycles=64),
+class TestOfflineDispatch:
+    def test_offline_batch_logs_every_event(self, rng):
+        """A no-fault offline batch runs through the dispatch core, which
+        logs an arrival, a dispatch and a completion per request."""
+        report = ServingEngine(pool_size=3, config=CFG).serve(
+            gemm_batch(rng, 6), verify=True,
         )
-        assert parallel.processes == 2
-        assert_reports_identical(serial, parallel)
+        assert len(report.events()) == 18
 
-    def test_online_with_worker_crash(self, rng):
-        serial, parallel = serve_pair(
-            gemm_batch(rng, 6),
-            pool_size=2,
-            online=True,
-            traffic="poisson:20",
-            seed=3,
-            faults="crash_worker:0@1",
-            fault_seed=0,
-        )
-        assert_reports_identical(serial, parallel)
-        assert serial.per_worker[0]["rebuilds"] == parallel.per_worker[0]["rebuilds"]
-
-    def test_offline_with_faults(self, rng):
-        serial, parallel = serve_pair(
-            gemm_batch(rng, 8),
-            pool_size=3,
-            online=False,
-            faults="kill:0.3",
-            fault_seed=1,
-            retry=RetryPolicy(max_attempts=2),
-        )
-        assert_reports_identical(serial, parallel)
-
-    def test_offline_without_faults(self, rng):
-        """A no-fault offline batch runs through the dispatch core in every
-        pool layout, so the multi-process run logs the same events too."""
-        serial, parallel = serve_pair(
-            gemm_batch(rng, 6), pool_size=3, online=False, verify=True,
-        )
-        assert parallel.processes == 2
-        assert len(serial.events()) == 18  # arrival, dispatch, completion each
-        assert_reports_identical(serial, parallel)
+    def test_processes_option_is_gone(self):
+        """The pool is in-process only: there is no process-count option."""
+        removed = {"processes": 2}
+        with pytest.raises(TypeError):
+            ServingEngine(pool_size=2, **removed)
 
 
 class TestFleetReplayCache:
@@ -159,25 +77,6 @@ class TestFleetReplayCache:
         assert shared.replay is not None and shared.replay["shared"]
         assert shared.replay["per_worker"]["1"]["fleet_hits"] >= 1
         assert cold.replay is None or not cold.replay["shared"]
-
-    def test_multiprocess_fleet_propagation(self):
-        requests = repeated_gemm_batch(4)
-        cold = ServingEngine(pool_size=2, config=CFG).serve_online(requests)
-        engine = ServingEngine(
-            pool_size=2, config=CFG, processes=2, share_replay=True
-        )
-        try:
-            shared = engine.serve_online(requests)
-        finally:
-            engine.close()
-        for a, b in zip(cold.results, shared.results):
-            assert np.array_equal(a.output, b.output)
-            assert a.sim_cycles == b.sim_cycles
-        assert cold.makespan_cycles == shared.makespan_cycles
-        # the recording crossed a process boundary: shard 1's worker
-        # replays a kernel only shard 0's worker ever launched
-        assert shared.replay["shared"]
-        assert shared.replay["per_worker"]["1"]["fleet_hits"] >= 1
 
 
 class TestAdmissionPolicies:
@@ -220,26 +119,3 @@ class TestAdmissionPolicies:
         report = engine.serve_online(gemm_batch(rng, 2))
         assert report.admission == "edf"
         assert report.as_dict()["admission"] == "edf"
-
-
-class TestProcessClamp:
-    def test_clamp_warns_and_records_requested_count(self, rng):
-        with pytest.warns(RuntimeWarning, match="exceeds pool_size"):
-            engine = ServingEngine(pool_size=2, config=CFG, processes=8)
-        try:
-            assert engine.processes == 2
-            assert engine.requested_processes == 8
-            report = engine.serve(gemm_batch(rng, 2))
-        finally:
-            engine.close()
-        assert report.processes == 2
-        assert report.requested_processes == 8
-        payload = report.as_dict()
-        assert payload["processes"] == 2
-        assert payload["requested_processes"] == 8
-
-    def test_no_warning_when_processes_fit(self, rng):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine = ServingEngine(pool_size=2, config=CFG, processes=2)
-        engine.close()

@@ -101,16 +101,6 @@ class TestEngineServing:
         workers = [r.worker for r in report.results]
         assert workers == [0, 1, 0, 1, 0, 1]
 
-    def test_parallel_processes_match_serial(self, rng):
-        requests = mixed_requests(rng, 8)
-        serial = ServingEngine(pool_size=2, config=CFG).serve(requests)
-        parallel = ServingEngine(pool_size=2, config=CFG, processes=2).serve(requests)
-        for s, p in zip(serial.results, parallel.results):
-            assert np.array_equal(s.output, p.output)
-            assert s.sim_cycles == p.sim_cycles
-            assert s.worker == p.worker
-        assert serial.makespan_cycles == parallel.makespan_cycles
-
     def test_duplicate_request_ids_rejected(self, rng):
         engine = ServingEngine(pool_size=2, config=CFG)
         a = rng.integers(-5, 5, (4, 4)).astype(np.int16)
@@ -260,7 +250,7 @@ class TestReportInvariants:
         assert all(single[k] == 42.0 for k in ("min", "mean", "p50", "p90", "p99", "max"))
 
     def test_empty_result_report(self):
-        report = build_serving_report([], pool_size=2, processes=1,
+        report = build_serving_report([], pool_size=2,
                                       policy="least_loaded", wall_seconds=0.0)
         assert report.n_requests == 0
         assert report.total_sim_cycles == 0
@@ -270,13 +260,13 @@ class TestReportInvariants:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown serving mode"):
-            build_serving_report([], 1, 1, "least_loaded", 0.0, mode="sideways")
+            build_serving_report([], 1, "least_loaded", 0.0, mode="sideways")
 
     def test_online_report_requires_timelines(self, rng):
         engine = ServingEngine(pool_size=1, config=CFG)
         offline = engine.serve(mixed_requests(rng, 2))
         with pytest.raises(ValueError, match="needs simulated timelines"):
-            build_serving_report(offline.results, 1, 1, "least_loaded", 0.0,
+            build_serving_report(offline.results, 1, "least_loaded", 0.0,
                                  mode="online")
 
 
@@ -487,24 +477,6 @@ class TestOnlineServing:
         assert decoded["faults"] is None
         assert decoded["availability"]["success_rate"] == 1.0
 
-    def test_online_multiprocess_matches_serial(self, rng):
-        """The dispatch core lifted the old processes=1 restriction: a
-        multi-process online run is bit-identical to the serial one."""
-        requests = mixed_requests(rng, 4)
-        serial = ServingEngine(pool_size=2, config=CFG).serve_online(
-            requests, traffic="poisson:25", seed=7)
-        engine = ServingEngine(pool_size=2, config=CFG, processes=2)
-        try:
-            parallel = engine.serve_online(requests, traffic="poisson:25", seed=7)
-        finally:
-            engine.close()
-        assert parallel.processes == 2
-        for a, b in zip(serial.results, parallel.results):
-            assert np.array_equal(a.output, b.output)
-            assert (a.sim_cycles, a.worker, a.start_cycle, a.completion_cycle) \
-                == (b.sim_cycles, b.worker, b.start_cycle, b.completion_cycle)
-        assert serial.makespan_cycles == parallel.makespan_cycles
-
     def test_online_matches_offline_outputs(self, rng):
         """Queueing changes timing, never numerics: same outputs either way."""
         requests = mixed_requests(rng, 8)
@@ -541,4 +513,4 @@ def test_partial_timeline_rejected_by_online_report(rng):
     broken = report.results[0]
     broken.arrival_cycle = None  # completion_cycle still set
     with pytest.raises(ValueError, match="needs simulated timelines"):
-        build_serving_report([broken], 1, 1, "least_loaded", 0.0, mode="online")
+        build_serving_report([broken], 1, "least_loaded", 0.0, mode="online")
