@@ -1,4 +1,4 @@
-"""Ablations — the design choices DESIGN.md calls out.
+"""Ablations — design choices of the ARCANE model (README.md, "Architecture").
 
 A1.1  VPU selection policy (fewest-dirty vs round-robin vs first-free):
       the paper motivates fewest-dirty as minimising eviction write-backs.

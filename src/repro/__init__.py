@@ -1,8 +1,9 @@
 """ARCANE reproduction: adaptive RISC-V cache with near-memory extensions.
 
 Functional/cycle-level reproduction of "ARCANE: Adaptive RISC-V Cache
-Architecture for Near-memory Extensions" (DAC 2025).  See DESIGN.md for
-the system inventory and EXPERIMENTS.md for the paper-vs-measured record.
+Architecture for Near-memory Extensions" (DAC 2025).  See README.md
+("Architecture") for the system inventory and EXPERIMENTS.md for the
+paper-vs-measured record.
 
 Public entry points:
 

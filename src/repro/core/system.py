@@ -197,19 +197,15 @@ class ArcaneSystem:
         self,
         config: Optional[ArcaneConfig] = None,
         trace: bool = False,
-        fastpath: Optional[bool] = None,
     ) -> None:
         """Build one system.
 
-        ``fastpath`` overrides ``config.fastpath`` when given (debugging
-        convenience — ``ArcaneSystem(fastpath=False)`` forces every kernel
+        ``ArcaneSystem(config.with_fastpath(False))`` forces every kernel
         launch down the slow interpreted path; ``ARCANE_NO_FASTPATH=1``
-        does the same globally).  Tracing also disables the fast path: a
+        does the same globally.  Tracing also disables the fast path: a
         replayed kernel would not emit per-operation trace events.
         """
         self.config = config or ArcaneConfig()
-        if fastpath is not None:
-            self.config = self.config.with_fastpath(fastpath)
         self.sim = Simulator()
         self.stats = StatsRegistry()
         self.tracer = Tracer(enabled=trace)

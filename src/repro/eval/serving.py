@@ -112,11 +112,12 @@ class ServingReport:
     #: rolling-metrics window samples (``observe=True`` online runs);
     #: schema documented on :func:`repro.obs.metrics.build_timeline`
     timeline: Optional[List[Dict]] = None
-    #: the run's SpanRecorder (``observe=True``); rides along for trace
-    #: export (:func:`repro.obs.export.chrome_trace`), excluded from JSON
+    #: the run's span trees (``observe=True``), built from :attr:`event_log`;
+    #: ride along for trace export, excluded from JSON
     spans: Optional[object] = field(default=None, repr=False)
-    #: raw dispatcher event log (online runs); feeds :meth:`events`
-    dispatch_events: List = field(default_factory=list, repr=False)
+    #: the run's one event log (:class:`repro.obs.spans.ServingEvent`:
+    #: dispatch, fault and worker health events); feeds :meth:`events`
+    event_log: List = field(default_factory=list, repr=False)
 
     @property
     def requests_per_second(self) -> float:
@@ -189,32 +190,25 @@ class ServingReport:
         return record
 
     def events(self) -> List[Dict]:
-        """The run's chronological event stream, merged and cycle-sorted.
+        """The run's event log as JSON-clean dicts, cycle-sorted.
 
-        Unifies the three logs that used to require hand zip-merging:
-        dispatcher lifecycle events (``source="dispatch"``:
-        arrival/dispatch/completion), fault events (``source="fault"``:
-        fail/retry/shed), and worker health transitions
-        (``source="health"``: quarantine/probation/reinstatement).  The
-        sort is stable, so same-cycle events keep their per-log order.
+        ``source`` is ``dispatch`` (arrival/dispatch/completion),
+        ``fault`` (fail/retry/shed) or ``health`` (worker quarantine/
+        probation/reinstatement).  The sort is stable and puts health
+        events after the request events of the same cycle.
         """
-        merged: List[Dict] = []
-        for event in self.dispatch_events:
-            source = "fault" if event.kind in ("fail", "retry", "shed") else "dispatch"
-            entry: Dict = {
-                "cycle": event.cycle, "source": source,
-                "kind": event.kind, "request": event.request_id,
-            }
+        projected: List[Dict] = []
+        for event in sorted(
+            self.event_log, key=lambda e: (e.cycle, e.source == "health")
+        ):
+            entry: Dict = {"cycle": event.cycle, "source": event.source,
+                           "kind": event.kind}
+            if event.source != "health":
+                entry["request"] = event.request_id
             if event.worker is not None:
                 entry["worker"] = event.worker
-            merged.append(entry)
-        for event in (self.availability or {}).get("worker_events", []):
-            merged.append({
-                "cycle": event["cycle"], "source": "health",
-                "kind": event["event"], "worker": event["worker"],
-            })
-        merged.sort(key=lambda entry: entry["cycle"])
-        return merged
+            projected.append(entry)
+        return projected
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)

@@ -1,10 +1,12 @@
 """Serving observability: request spans, rolling metrics, trace export.
 
-Host-side only — nothing here is visible to the simulated machine, so an
-observed run is bit-identical to an unobserved one.  See
-:mod:`repro.obs.spans` for the span model, :mod:`repro.obs.metrics` for
-the windowed time-series engine, and :mod:`repro.obs.export` for
-Perfetto-loadable Chrome trace JSON plus the terminal timeline renderer.
+Host-side only, and built after the run from its one event log — nothing
+here is visible to the simulated machine or changes which code a run
+executes, so an observed run is bit-identical to an unobserved one.  See
+:mod:`repro.obs.spans` for the event log and span model,
+:mod:`repro.obs.metrics` for the windowed time-series engine, and
+:mod:`repro.obs.export` for Perfetto-loadable Chrome trace JSON plus the
+terminal timeline renderer.
 """
 
 from repro.obs.export import (
@@ -22,23 +24,21 @@ from repro.obs.metrics import (
 )
 from repro.obs.spans import (
     CATEGORIES,
-    NULL_RECORDER,
-    InstantEvent,
-    NullRecorder,
+    ServingEvent,
     Span,
     SpanRecorder,
+    build_spans,
 )
 
 __all__ = [
     "CATEGORIES",
-    "NULL_RECORDER",
     "REQUIRED_EVENT_KEYS",
-    "InstantEvent",
-    "NullRecorder",
     "RollingMetrics",
+    "ServingEvent",
     "Span",
     "SpanRecorder",
     "auto_interval",
+    "build_spans",
     "build_timeline",
     "chrome_trace",
     "render_timeline",

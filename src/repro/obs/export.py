@@ -1,14 +1,14 @@
 """Trace export: Chrome trace-event JSON (Perfetto-loadable) + text timeline.
 
-The span trees recorded by :class:`~repro.obs.spans.SpanRecorder` become
+The span trees rebuilt by :func:`~repro.obs.spans.build_spans` become
 a Chrome trace-event file (the JSON format Perfetto and ``chrome://
 tracing`` load natively — see the "Trace Event Format" spec).  Layout:
 
 * one trace **process** per worker (``pid = worker index``) carrying its
   ``dispatch``/``launch`` spans on a single track — worker service is
   serial, so they never overlap — plus instant markers for failed
-  attempts and supervisor health transitions (quarantine / probation /
-  reinstatement / rebuild);
+  attempts and the worker health events of the run's event log
+  (quarantine / probation / reinstatement);
 * one extra "dispatcher" process (``pid = pool size``) carrying the
   ``request``/``attempt``/``queue_wait`` spans, one track (``tid``) per
   request id so concurrent requests stack visually;
@@ -57,7 +57,7 @@ def _event(
 
 
 def chrome_trace(report) -> Dict[str, Any]:
-    """Serialize a ServingReport's spans/instants/timeline to trace JSON.
+    """Serialize a ServingReport's spans/health events/timeline to trace JSON.
 
     Requires the run to have been observed (``report.spans`` not None);
     raises ``ValueError`` otherwise, so a missing ``observe=True`` fails
@@ -106,12 +106,12 @@ def chrome_trace(report) -> Dict[str, Any]:
                        span.category, dur=duration, args=dict(span.attrs))
             )
 
-    for instant in recorder.instants:
-        pid = int(instant.attrs.get("worker", dispatcher_pid))
-        events.append(
-            _event("i", instant.name, instant.cycle, pid, 0, "health",
-                   s="p", args=dict(instant.attrs))
-        )
+    for event in report.event_log:
+        if event.source == "health":
+            events.append(
+                _event("i", event.kind, event.cycle, event.worker, 0, "health",
+                       s="p", args={"worker": event.worker})
+            )
 
     for sample in getattr(report, "timeline", None) or []:
         events.append(

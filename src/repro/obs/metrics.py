@@ -16,7 +16,7 @@ needs:
   p50/p99/max without storing samples (latency within a window).
 
 :func:`build_timeline` derives one sample list for a whole online
-serving run from the dispatcher's event log and the per-request results
+serving run from the run's event log and the per-request results
 — post-hoc, so the serving hot loop is untouched and the instrumented
 run stays bit-identical to an un-instrumented one.  The sample schema is
 documented on :func:`build_timeline` and in the README; samples land in
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.spans import launch_windows
 from repro.sim.stats import Histogram
 
 #: Auto-interval target: about this many windows per run.
@@ -164,7 +165,7 @@ class RollingMetrics:
 
 def build_timeline(
     results: Sequence,  # Sequence[RequestResult]
-    events: Sequence,  # Sequence[OnlineEvent]
+    events: Sequence,  # Sequence[ServingEvent]
     pool_size: int,
     interval_cycles: Optional[int] = None,
 ) -> List[Dict]:
@@ -182,8 +183,9 @@ def build_timeline(
     * ``latency`` — ``{n, p50, p99, max}`` over the end-to-end latencies
       of requests *completing* in the window (log2-bucketed estimate).
 
-    Built from the dispatcher's chronological event log plus per-request
-    timelines, entirely post-hoc — the serving loop never sees it.
+    Built from the run's event log plus per-request timelines, entirely
+    post-hoc — the serving loop never sees it.  Each launch's window is
+    derived from its result's service start (:func:`launch_windows`).
     """
     last_cycle = 0
     for event in events:
@@ -237,11 +239,10 @@ def build_timeline(
             # exhausted/non-retryable: leaves the queue at its last failure
             cycle = last_fail.get(result.request_id, result.arrival_cycle or 0)
             metrics.level(cycle, "queue_depth", -1)
-        for launch in getattr(result, "launches", ()):
-            start = launch.get("start_cycle")
-            if start is None:
-                continue
-            outcome = launch.get("replay", "off")
+        if result.start_cycle is None:
+            continue
+        for launch, start, _ in launch_windows(result):
+            outcome = launch["replay"]
             if outcome == "hit":
                 metrics.count(start, "replay_hits")
             elif outcome == "miss":

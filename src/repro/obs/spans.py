@@ -12,17 +12,17 @@ cycle domain the dispatcher runs in::
         dispatch  (worker 1)       [start ........... completion]
           launch gemm (replay=hit) [start .. start+cycles]
 
-Spans are pure host-side bookkeeping: nothing in the simulated machine
-observes them, so an instrumented run is bit-identical (outputs, cycle
-counts, stats) to an un-instrumented one.  The disabled path is a
-:class:`NullRecorder` whose methods are no-ops — the dispatcher guards
-its span blocks on ``recorder.enabled``, mirroring the
-:class:`~repro.sim.trace.Tracer` disabled idiom, so observability off
-costs one attribute check per request.
+A serving run keeps one record: its :class:`ServingEvent` log, which the
+dispatch core and the worker supervisor append to.  :func:`build_spans`
+rebuilds every request's span tree from that log and the per-request
+results *after* the run (Dapper-style, Sigelman et al., 2010), so
+observing a run never changes which code the run executes: outputs,
+cycle counts and stats are bit-identical with observation off.
 
 Span categories (:data:`CATEGORIES`):
 
-* ``request`` — arrival to terminal outcome (ok/timed_out/failed/shed);
+* ``request`` — arrival to terminal outcome (ok/timed_out/corrupted/
+  failed/shed);
 * ``attempt`` — one dispatch try; failed attempts are zero-duration at
   their dispatch instant (injected faults fire before execution) and
   carry ``fault_class``/``injected``; retry attempts carry
@@ -34,17 +34,49 @@ Span categories (:data:`CATEGORIES`):
   its replay-cache outcome (``replay`` = ``hit``/``miss``/``bypassed``/
   ``off``).
 
-Instant events (worker quarantine/probation/reinstatement/rebuild) ride
-alongside on :attr:`SpanRecorder.instants`.
+Worker health transitions (quarantine/probation/reinstatement) are
+``health`` events in the same log; the trace export draws them as
+instants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Span categories in parent-before-child order.
 CATEGORIES = ("request", "attempt", "queue_wait", "dispatch", "launch")
+
+#: Event-log source of each request event kind; every other kind is a
+#: worker ``health`` transition.
+SOURCES = {
+    "arrival": "dispatch", "dispatch": "dispatch", "completion": "dispatch",
+    "fail": "fault", "retry": "fault", "shed": "fault",
+}
+
+
+@dataclass(frozen=True)
+class ServingEvent:
+    """One entry in a serving run's event log.
+
+    ``cycle`` is a simulated cycle on the online cycle clock and the
+    dispatch sequence number offline.  Request events carry
+    ``request_id``; health events (quarantined/probation/
+    forced_probation/reinstated) carry only the ``worker``.  A ``fail``
+    carries the failed attempt's ``fault_class`` and ``injected`` flag.
+    """
+
+    cycle: int
+    kind: str
+    request_id: Optional[int] = None
+    worker: Optional[int] = None
+    fault_class: Optional[str] = None
+    injected: bool = False
+
+    @property
+    def source(self) -> str:
+        """``dispatch``, ``fault`` or ``health``."""
+        return SOURCES.get(self.kind, "health")
 
 
 @dataclass
@@ -79,57 +111,11 @@ class Span:
         }
 
 
-@dataclass(frozen=True)
-class InstantEvent:
-    """A point-in-time observability event (e.g. a worker quarantine)."""
-
-    cycle: int
-    name: str
-    attrs: Dict[str, Any] = field(default_factory=dict)
-
-
-class NullRecorder:
-    """The disabled recorder: every operation is a no-op.
-
-    Shared default for all observability hooks, so instrumented code can
-    call ``recorder.instant(...)`` unconditionally where it is cold, and
-    guard on :attr:`enabled` only in per-request hot paths.
-    """
-
-    enabled = False
-
-    def begin(
-        self,
-        name: str,
-        category: str,
-        cycle: int,
-        parent: Optional[int] = None,
-        **attrs: Any,
-    ) -> int:
-        return 0
-
-    def end(self, span_id: int, cycle: int, **attrs: Any) -> None:
-        pass
-
-    def annotate(self, span_id: int, **attrs: Any) -> None:
-        pass
-
-    def instant(self, name: str, cycle: int, **attrs: Any) -> None:
-        pass
-
-
-#: module-level singleton: the one NullRecorder everything defaults to
-NULL_RECORDER = NullRecorder()
-
-
-class SpanRecorder(NullRecorder):
-    """Collects spans and instant events for one serving run."""
-
-    enabled = True
+class SpanRecorder:
+    """Collects the spans of one serving run."""
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
-        self.instants: List[InstantEvent] = []
         self._open = 0
 
     def begin(
@@ -172,18 +158,6 @@ class SpanRecorder(NullRecorder):
                 span.attrs[key] = value
         self._open -= 1
 
-    def annotate(self, span_id: int, **attrs: Any) -> None:
-        span = self.spans[span_id]
-        for key, value in attrs.items():
-            if value is not None:
-                span.attrs[key] = value
-
-    def instant(self, name: str, cycle: int, **attrs: Any) -> None:
-        self.instants.append(
-            InstantEvent(int(cycle), name, {k: v for k, v in attrs.items()
-                                            if v is not None})
-        )
-
     # -- queries (tests and the text renderer) -----------------------------
 
     @property
@@ -216,3 +190,80 @@ class SpanRecorder(NullRecorder):
         for key, value in attrs.items():
             selected = [s for s in selected if s.attrs.get(key) == value]
         return selected
+
+
+def launch_windows(result) -> Iterator[Tuple[Dict[str, Any], int, int]]:
+    """Each launch of a served result with its absolute cycle window.
+
+    Launches lie back-to-back from the service start: the worker
+    executes them serially.
+    """
+    cursor = result.start_cycle
+    for launch in result.launches:
+        end = cursor + launch["cycles"]
+        yield launch, cursor, end
+        cursor = end
+
+
+def build_spans(results: Sequence, events: Sequence[ServingEvent]) -> SpanRecorder:
+    """Rebuild every request's span tree from an online run's event log.
+
+    Walks ``events`` in emission order: ``arrival`` opens the request
+    span; ``fail`` is a zero-duration failed attempt (a fault fires at
+    its dispatch instant); ``dispatch`` is the successful attempt with
+    its queue wait, service span and back-to-back launches; ``shed``, or
+    the ``fail`` of a ``failed`` result's last attempt, closes the
+    request span.  ``results`` supply what the log does not carry: the
+    request kind, the service window, launches and the final status.
+    """
+    recorder = SpanRecorder()
+    by_id = {result.request_id: result for result in results}
+    request_span: Dict[int, int] = {}
+    attempts: Dict[int, int] = {}
+    last_failed: Dict[int, int] = {}
+    for event in events:
+        kind, rid, cycle = event.kind, event.request_id, event.cycle
+        if kind == "arrival":
+            request_span[rid] = recorder.begin(
+                f"request {rid}", "request", cycle, request=rid, kind=by_id[rid].kind,
+            )
+        elif kind == "shed":
+            recorder.end(request_span[rid], cycle, status="shed",
+                         cause=by_id[rid].fault_class)
+        elif kind in ("fail", "dispatch"):
+            result = by_id[rid]
+            attempt = attempts[rid] = attempts.get(rid, 0) + 1
+            worker = event.worker
+            span = recorder.begin(
+                f"attempt {attempt}", "attempt", cycle, parent=request_span[rid],
+                request=rid, attempt=attempt, worker=worker,
+                cause="retry" if attempt > 1 else None,
+                failover=(attempt > 1 and worker != last_failed.get(rid)) or None,
+            )
+            if kind == "fail":
+                recorder.end(span, cycle, status="failed",
+                             fault_class=event.fault_class,
+                             injected=event.injected or None)
+                last_failed[rid] = worker
+                if result.status == "failed" and attempt == result.attempts:
+                    recorder.end(request_span[rid], cycle, status="failed",
+                                 fault_class=event.fault_class)
+                continue
+            start, completion = result.start_cycle, result.completion_cycle
+            wait = recorder.begin("queue_wait", "queue_wait", cycle,
+                                  parent=span, request=rid)
+            recorder.end(wait, start)
+            service = recorder.begin(f"serve {rid}", "dispatch", start,
+                                     parent=span, request=rid, worker=worker)
+            for launch, launch_start, launch_end in launch_windows(result):
+                launch_span = recorder.begin(
+                    launch["name"], "launch", launch_start, parent=service,
+                    request=rid, worker=worker,
+                    kernel_id=launch["kernel_id"], replay=launch["replay"],
+                )
+                recorder.end(launch_span, launch_end)
+            recorder.end(service, completion)
+            recorder.end(span, completion, status=result.status)
+            recorder.end(request_span[rid], completion,
+                         status=result.status, worker=worker)
+    return recorder

@@ -32,6 +32,9 @@ class QueuedKernel:
     #: eCPU cycles spent decoding this kernel and its preceding xmr
     #: reservations (attributed to the preamble phase of Figure 3).
     preamble_cycles: int = 0
+    #: replay-cache outcome of this launch: ``hit``/``miss``/``bypassed``,
+    #: or ``off`` when the launch never consulted the cache
+    replay: str = "off"
 
     def bindings(self) -> List[MatrixBinding]:
         out = list(self.sources)

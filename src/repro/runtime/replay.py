@@ -530,7 +530,7 @@ def replay_kernel(
     kernel: QueuedKernel,
     context: KernelContext,
     scheduler,
-    compiled: Optional[list] = None,
+    compiled: list,
 ) -> Generator:
     """Simulation process: replay a recorded kernel in one suspension.
 
@@ -612,12 +612,6 @@ def replay_kernel(
                 )
             vrf.write(reg, values, offset)
         return total
-
-    if compiled is None:
-        # compiled segments bind a specific system's VRF; the per-key
-        # store on ReplayCache keeps them out of the (shareable,
-        # picklable) recording — see :meth:`ReplayCache.compiled_for`
-        compiled = _compile_steps(recording, kernel, scheduler, vpu_index)
 
     for step in compiled:
         kind = step[0]
@@ -724,10 +718,6 @@ class ReplayCache:
             "hits": 0, "misses": 0, "recorded": 0, "bypassed": 0,
             "invalidated": 0, "fleet_hits": 0,
         }
-        #: observability hook: when a list, every launch appends
-        #: ``(kernel_id, outcome)`` with outcome hit/miss/bypassed.  None
-        #: (the default) keeps the hot path at one truthiness check.
-        self.launch_log: Optional[List[Tuple[int, str]]] = None
         #: integrity hook: when a list, every key this cache stored or
         #: replayed during the current attempt is appended, so a failed
         #: integrity check can invalidate/retract exactly the recordings
@@ -737,11 +727,6 @@ class ReplayCache:
         #: path entirely (no lookup, no recording) — used to re-execute a
         #: corrupted request from first principles.
         self.suspended = False
-
-    def note_launch(self, kernel_id: int, outcome: str) -> None:
-        """Record one launch's replay outcome when a log is attached."""
-        if self.launch_log is not None:
-            self.launch_log.append((kernel_id, outcome))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -198,7 +198,7 @@ class KernelScheduler:
         if recording is not None:
             if cache.can_replay(recording, self, vpu_index):
                 cache.stats["hits"] += 1
-                cache.note_launch(kernel.kernel_id, "hit")
+                kernel.replay = "hit"
                 if cache.touched is not None:
                     cache.touched.append(key)
                 yield from self._execute_recorded(
@@ -206,11 +206,11 @@ class KernelScheduler:
                 )
             else:
                 cache.stats["bypassed"] += 1
-                cache.note_launch(kernel.kernel_id, "bypassed")
+                kernel.replay = "bypassed"
                 yield from self._execute_single(kernel, spec.body, vpu_index, phases)
             return
         cache.stats["misses"] += 1
-        cache.note_launch(kernel.kernel_id, "miss")
+        kernel.replay = "miss"
         recording = Recording(vpu_index, self.allocator._free[vpu_index])
         before = dict(phases.cycles)
         yield from self._execute_single(

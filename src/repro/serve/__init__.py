@@ -37,7 +37,6 @@ from repro.serve.dispatch import (
     SEQUENCE_CLOCK,
     AdmissionPolicy,
     DispatchCore,
-    OnlineEvent,
     SerialPool,
     estimate_service_cycles,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "GraphNode",
     "InferenceRequest",
     "KernelKilledError",
-    "OnlineEvent",
     "RequestRejected",
     "RequestResult",
     "RetryPolicy",

@@ -2,7 +2,7 @@
 
 :class:`DispatchCore` is the single event loop behind offline and
 online serving.  It owns admission, worker selection,
-retry/failover, quarantine, deadlines and span/metrics hooks, and is
+retry/failover, quarantine, deadlines and the run's event log, and is
 parameterized by three orthogonal pieces of data (the Exo/SYS_ATL
 scheduling-as-data idiom: one fixed algorithm, policies as values):
 
@@ -25,6 +25,9 @@ scheduling-as-data idiom: one fixed algorithm, policies as values):
 Fault decisions live in the **core**, not the worker: the core calls
 :meth:`FaultInjector.before_attempt` itself, in deterministic dispatch
 order, and applies the decision's worker-side effects directly.
+
+The core only records: spans, the timeline and the trace export are
+built after the run from its :class:`~repro.obs.spans.ServingEvent` log.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.spans import NULL_RECORDER, NullRecorder
+from repro.obs.spans import ServingEvent
 from repro.serve.faults import (
     FaultInjector,
     RetryPolicy,
@@ -51,28 +54,13 @@ CYCLE_CLOCK = "cycles"
 SEQUENCE_CLOCK = "sequence"
 CLOCKS = (CYCLE_CLOCK, SEQUENCE_CLOCK)
 
-#: Event kinds recorded on the dispatch timeline.
+#: Request event kinds the core appends to the event log.
 ARRIVAL = "arrival"
 DISPATCH = "dispatch"
 COMPLETION = "completion"
 FAIL = "fail"
 RETRY = "retry"
 SHED = "shed"
-
-
-@dataclass(frozen=True)
-class OnlineEvent:
-    """One entry in the dispatch event log.
-
-    ``cycle`` is a simulated cycle under :data:`CYCLE_CLOCK` and the
-    dispatch sequence number under :data:`SEQUENCE_CLOCK` (matching the
-    :class:`~repro.serve.faults.WorkerSupervisor` convention).
-    """
-
-    cycle: int
-    kind: str
-    request_id: int
-    worker: Optional[int] = None
 
 
 # -- admission policies -------------------------------------------------------
@@ -215,13 +203,12 @@ class SerialPool:
         worker: int,
         request: InferenceRequest,
         attempt: int = 1,
-        observe: bool = False,
         slow_factor: float = 1.0,
         directives: Sequence = (),
         bypass_fastpath: bool = False,
     ) -> RequestResult:
         return self.workers[worker].run(
-            request, attempt=attempt, observe=observe, slow_factor=slow_factor,
+            request, attempt=attempt, slow_factor=slow_factor,
             directives=directives, bypass_fastpath=bypass_fastpath,
         )
 
@@ -239,9 +226,9 @@ class DispatchCore:
     :data:`SEQUENCE_CLOCK` ``ready`` is the dispatch sequence number,
     the engine's precomputed assignment is the first-attempt worker and
     retries rebalance by accumulated busy cycles.  Faults, retry,
-    failover, quarantine, bounded admission, deadlines and span
-    recording behave identically on both clocks (deadlines and the
-    simulated timeline exist only in cycles).
+    failover, quarantine, bounded admission, deadlines and the event
+    log behave identically on both clocks (deadlines and the simulated
+    timeline exist only in cycles).
 
     The core draws every fault itself and applies its worker-side
     effects (failure counters, crash and quarantine rebuilds) on the
@@ -257,7 +244,6 @@ class DispatchCore:
         retry: Optional[RetryPolicy] = None,
         supervisor: Optional[WorkerSupervisor] = None,
         queue_capacity: Optional[int] = None,
-        recorder: NullRecorder = NULL_RECORDER,
     ) -> None:
         if clock not in CLOCKS:
             raise ValueError(f"unknown clock {clock!r}; expected one of {CLOCKS}")
@@ -271,13 +257,12 @@ class DispatchCore:
         self.retry = retry or RetryPolicy()
         self.supervisor = supervisor
         self.queue_capacity = queue_capacity
-        #: observability recorder; the default no-op costs one attribute
-        #: check per request (mirrors the Tracer's disabled path)
-        self.recorder = recorder
         #: cycle at which each worker drains all dispatched work
         self.free_at = [0] * len(self.workers)
-        #: chronological event log (arrival/dispatch/completion/fail/retry/shed)
-        self.events: List[OnlineEvent] = []
+        #: the run's event log; the supervisor's health events share it
+        self.events: List[ServingEvent] = (
+            supervisor.events if supervisor is not None else []
+        )
         #: availability tally for the serving report
         self.tally: Dict = {
             "retries": 0,
@@ -338,7 +323,6 @@ class DispatchCore:
         worker: int,
         request: InferenceRequest,
         attempt: int,
-        observe: bool,
         bypass_fastpath: bool = False,
     ) -> Tuple[Optional[RequestResult], Optional[ServingError]]:
         """One attempt: draw the fault in the core, execute on the pool.
@@ -361,7 +345,7 @@ class DispatchCore:
             directives = self.injector.corruption_for(request, attempt, worker)
         try:
             result = self.pool.execute(
-                worker, request, attempt=attempt, observe=observe,
+                worker, request, attempt=attempt,
                 slow_factor=slow_factor, directives=directives,
                 bypass_fastpath=bypass_fastpath,
             )
@@ -410,8 +394,6 @@ class DispatchCore:
         sticky_retry: Dict[int, int] = {}
         dispatched_starts: List[int] = []
         arrived: set = set()
-        rec = self.recorder
-        request_spans: Dict[int, int] = {}  # position -> open request span
 
         while pending:
             entry = heapq.heappop(pending)
@@ -423,15 +405,10 @@ class DispatchCore:
             # event log interleaves chronologically
             while completions and completions[0][0] <= ready:
                 cycle, _, crid, worker = heapq.heappop(completions)
-                self.events.append(OnlineEvent(cycle, COMPLETION, crid, worker))
+                self.events.append(ServingEvent(cycle, COMPLETION, crid, worker))
             if attempt == 1 and position not in arrived:
                 arrived.add(position)
-                self.events.append(OnlineEvent(ready, ARRIVAL, rid))
-                if rec.enabled:
-                    request_spans[position] = rec.begin(
-                        f"request {rid}", "request", ready,
-                        request=rid, kind=request.kind,
-                    )
+                self.events.append(ServingEvent(ready, ARRIVAL, rid))
             if self.supervisor is not None:
                 self.supervisor.tick(ready)
             # bounded admission: how many admitted requests are still
@@ -439,10 +416,7 @@ class DispatchCore:
             if self.queue_capacity is not None:
                 depth = sum(1 for s in dispatched_starts if s > ready)
                 if depth >= self.queue_capacity:
-                    self.events.append(OnlineEvent(ready, SHED, rid))
-                    if rec.enabled:
-                        rec.end(request_spans[position], ready,
-                                status="shed", cause="queue_full")
+                    self.events.append(ServingEvent(ready, SHED, rid))
                     results[position] = RequestResult.failure(
                         request, "shed",
                         f"admission queue full ({depth} waiting, capacity "
@@ -481,10 +455,7 @@ class DispatchCore:
                 and request.deadline_cycle is not None
                 and start > request.deadline_cycle
             ):
-                self.events.append(OnlineEvent(ready, SHED, rid))
-                if rec.enabled:
-                    rec.end(request_spans[position], ready,
-                            status="shed", cause="deadline")
+                self.events.append(ServingEvent(ready, SHED, rid))
                 results[position] = RequestResult.failure(
                     request, "shed",
                     f"projected start cycle {start} past deadline "
@@ -506,24 +477,10 @@ class DispatchCore:
             bypass = corrupted_level.get(position, 0) > 0
             if bypass and attempt > 1:
                 self.corruption_tally["bypass_retries"] += 1
-            attempt_span = 0
-            if rec.enabled:
-                attempt_span = rec.begin(
-                    f"attempt {attempt}", "attempt", ready,
-                    parent=request_spans[position],
-                    request=rid, attempt=attempt, worker=worker,
-                    cause="retry" if attempt > 1 else None,
-                    failover=failover or None,
-                )
             result, error = self._attempt(
-                worker, request, attempt, rec.enabled, bypass_fastpath=bypass
+                worker, request, attempt, bypass_fastpath=bypass
             )
             if error is not None:
-                if rec.enabled:
-                    # a fault fires at its dispatch instant: zero duration
-                    rec.end(attempt_span, ready, status="failed",
-                            fault_class=error.fault_class,
-                            injected=error.injected or None)
                 self._record_failure(
                     request, worker, ready, attempt, error,
                     attempt_errors.setdefault(position, []),
@@ -539,7 +496,7 @@ class DispatchCore:
                         self.corruption_tally["failover_escalations"] += 1
                 if error.retryable and attempt < self.retry.max_attempts:
                     retry_at = ready + self.retry.backoff(attempt) if cycles else ready
-                    self.events.append(OnlineEvent(ready, RETRY, rid, worker))
+                    self.events.append(ServingEvent(ready, RETRY, rid, worker))
                     self.tally["retries"] += 1
                     heapq.heappush(
                         pending,
@@ -548,9 +505,6 @@ class DispatchCore:
                     )
                     next_seq += 1
                 else:
-                    if rec.enabled:
-                        rec.end(request_spans[position], ready,
-                                status="failed", fault_class=error.fault_class)
                     results[position] = RequestResult.failure(
                         request, "failed",
                         "; ".join(attempt_errors.get(position, [])),
@@ -577,42 +531,15 @@ class DispatchCore:
                     result.status = "timed_out"
             else:
                 completion = ready
-            if rec.enabled:
-                wait_span = rec.begin("queue_wait", "queue_wait", ready,
-                                      parent=attempt_span, request=rid)
-                rec.end(wait_span, start)
-                service_span = rec.begin(
-                    f"serve {rid}", "dispatch", start,
-                    parent=attempt_span, request=rid, worker=worker,
-                )
-                # launches lie back-to-back from the service start (the
-                # worker executes them serially); stamp the absolute
-                # window on each record for the rolling metrics
-                cursor = start
-                for launch in result.launches:
-                    launch_end = cursor + launch["cycles"]
-                    launch["start_cycle"] = cursor
-                    launch["end_cycle"] = launch_end
-                    launch_span = rec.begin(
-                        launch["name"], "launch", cursor,
-                        parent=service_span, request=rid, worker=worker,
-                        kernel_id=launch["kernel_id"], replay=launch["replay"],
-                    )
-                    rec.end(launch_span, launch_end)
-                    cursor = launch_end
-                rec.end(service_span, completion)
-                rec.end(attempt_span, completion, status=result.status)
-                rec.end(request_spans[position], completion,
-                        status=result.status, worker=worker)
             if cycles:
                 self.free_at[worker] = completion
                 dispatched_starts.append(start)
-            self.events.append(OnlineEvent(ready, DISPATCH, rid, worker))
+            self.events.append(ServingEvent(ready, DISPATCH, rid, worker))
             heapq.heappush(completions, (completion, position, rid, worker))
             results[position] = result
         while completions:
             cycle, _, crid, worker = heapq.heappop(completions)
-            self.events.append(OnlineEvent(cycle, COMPLETION, crid, worker))
+            self.events.append(ServingEvent(cycle, COMPLETION, crid, worker))
         # positions whose attempts raised at least one corrupted-class
         # failure; the engine maps these back to requests for the
         # report's detection/recovery accounting
@@ -631,7 +558,10 @@ class DispatchCore:
     ) -> None:
         """Log one failed attempt: event, class tally, recovery diagnostic,
         supervision (quarantine rebuilds the worker's system)."""
-        self.events.append(OnlineEvent(cycle, FAIL, request.request_id, worker))
+        self.events.append(ServingEvent(
+            cycle, FAIL, request.request_id, worker,
+            fault_class=error.fault_class, injected=error.injected,
+        ))
         history.append(f"attempt {attempt} on worker {worker}: {error}")
         recovery = self.workers[worker].last_recovery
         if recovery and recovery.get("error"):
@@ -645,7 +575,6 @@ class DispatchCore:
             if quarantined and not isinstance(error, WorkerCrashError):
                 # a crash already rebuilt the worker at injection time
                 self.workers[worker].rebuild()
-                self.recorder.instant("rebuilt", cycle, worker=worker)
 
     @property
     def makespan_cycles(self) -> int:

@@ -26,7 +26,7 @@ modes take one path: a single runner drives the
   launch warms the whole pool; results are bit-exact with the cache off;
 * **aggregation** — per-request :class:`RunReport`s fold into a
   :class:`~repro.eval.serving.ServingReport` with throughput, latency
-  percentiles, an availability section, the dispatch event log and
+  percentiles, an availability section, the run's event log and
   per-worker replay-cache deltas.
 """
 
@@ -47,7 +47,7 @@ from repro.integrity.check import coerce_policy
 from repro.integrity.check import covered as abft_covered
 from repro.integrity.inject import CORRUPTION_KINDS
 from repro.obs.metrics import build_timeline
-from repro.obs.spans import NULL_RECORDER, NullRecorder, SpanRecorder
+from repro.obs.spans import build_spans
 from repro.serve.dispatch import (
     CYCLE_CLOCK,
     SEQUENCE_CLOCK,
@@ -486,7 +486,11 @@ class ServingEngine:
             "failovers": tally["failovers"],
             "failed_attempts_by_class": dict(tally["failed_attempts_by_class"]),
             "injected": dict(injector.injected) if injector else {},
-            "worker_events": list(supervisor.events),
+            "worker_events": [
+                {"cycle": event.cycle, "worker": event.worker, "event": event.kind}
+                for event in supervisor.events
+                if event.source == "health"
+            ],
             "workers": workers,
         }
 
@@ -527,14 +531,13 @@ class ServingEngine:
         domain, and every per-request result is order- and
         worker-independent by the reset-to-cold contract.
 
-        ``observe=True`` turns on the observability layer
-        (:mod:`repro.obs`): the report gains per-request span trees
+        ``observe=True`` builds the observability layer (:mod:`repro.obs`)
+        from the run's event log after the run: per-request span trees
         (``report.spans``, exportable to Perfetto via
-        :func:`repro.obs.export.write_chrome_trace`), a rolling-metrics
-        ``timeline`` (window width ``metrics_interval`` cycles, auto
-        when ``None``) and per-launch replay tags on each result.  All of
-        it is host-side bookkeeping: outputs and cycle counts are
-        bit-identical with ``observe=False``.
+        :func:`repro.obs.export.write_chrome_trace`) and a rolling-metrics
+        ``timeline`` (window width ``metrics_interval`` cycles, auto when
+        ``None``).  The run executes the same code either way: outputs,
+        cycles, the event log and launch records are bit-identical.
         """
         spec: Optional[TrafficSpec] = None
         if traffic is not None:
@@ -576,16 +579,12 @@ class ServingEngine:
         plan = FaultPlan.coerce(faults)
         injector = FaultInjector(plan, fault_seed) if plan else None
         supervisor = WorkerSupervisor(self.pool_size)
-        recorder: NullRecorder = NULL_RECORDER
-        if observe:
-            recorder = SpanRecorder()
-            supervisor.recorder = recorder
         health_before = [worker.health_snapshot() for worker in self.workers]
         replay_before = self._replay_stats()
         core = DispatchCore(
             self.pool, clock=clock, admission=self.admission,
             injector=injector, retry=retry, supervisor=supervisor,
-            queue_capacity=queue_capacity, recorder=recorder,
+            queue_capacity=queue_capacity,
         )
         # wall time covers serving on a ready pool, built in __init__
         start = time.perf_counter()
@@ -605,14 +604,15 @@ class ServingEngine:
             admission=self.admission.kind,
         )
         report.results = results  # per-request detail rides along (not in JSON)
-        report.dispatch_events = list(core.events)
+        report.event_log = core.events
         report.replay = self._replay_delta(replay_before)
         report.autotune = self._autotune_report()
         report.integrity = self._collect_integrity(
             injector, core, requests, results, validated
         )
         if observe:
-            report.spans = recorder
+            # after verification, so spans carry a request's final status
+            report.spans = build_spans(results, core.events)
             report.timeline = build_timeline(
                 results, core.events, self.pool_size,
                 interval_cycles=metrics_interval,

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.integrity.inject import CORRUPTION_KINDS, SITE_SALTS, CorruptionDirective
-from repro.obs.spans import NULL_RECORDER
+from repro.obs.spans import ServingEvent
 
 #: Availability fault kinds (the original grammar).  The data-corruption
 #: kinds (``flip``/``dma_corrupt``/``vrf_flip``/``stuck_line``) come from
@@ -464,15 +464,12 @@ class WorkerSupervisor:
         self.threshold = threshold
         self.quarantine_for = quarantine_for
         self.health = [WorkerHealth() for _ in range(n_workers)]
-        #: chronological health events (JSON-clean dicts)
-        self.events: List[Dict] = []
-        #: observability hook: health transitions mirror to this recorder
-        #: as instant events (the engine swaps in a live SpanRecorder)
-        self.recorder = NULL_RECORDER
+        #: the run's event log: health transitions land here, and the
+        #: dispatch core appends its request events to the same list
+        self.events: List[ServingEvent] = []
 
     def _log(self, cycle: int, worker: int, event: str) -> None:
-        self.events.append({"cycle": int(cycle), "worker": worker, "event": event})
-        self.recorder.instant(event, cycle, worker=worker)
+        self.events.append(ServingEvent(int(cycle), event, worker=worker))
 
     def tick(self, cycle: int) -> None:
         """Advance quarantine countdowns by one dispatch decision."""

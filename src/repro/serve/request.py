@@ -227,11 +227,10 @@ class RequestResult:
     error: Optional[str] = None
     attempts: int = 1
     fault_class: Optional[str] = None
-    #: per-kernel-launch observability records (observe=True only): dicts
-    #: with ``kernel_id``/``name``/``cycles``/``replay`` — the replay tag
-    #: is hit/miss/bypassed, or "off" when the fast path is disabled.
-    #: The online dispatcher stamps absolute ``start_cycle``/``end_cycle``
-    #: once the request's place on the timeline is known.
+    #: per-kernel-launch records of the successful attempt, in launch
+    #: order: dicts with ``kernel_id``/``name``/``cycles``/``replay`` —
+    #: the replay tag is hit/miss/bypassed, or "off" when the launch
+    #: never consulted the replay cache.
     launches: List[Dict[str, Any]] = field(default_factory=list, repr=False)
     #: integrity verdict details when a policy other than ``off`` ran (or
     #: an injected corruption fired): ``policy``, ``corrected``/``method``

@@ -95,7 +95,6 @@ class SystemWorker:
         self,
         request: InferenceRequest,
         attempt: int = 1,
-        observe: bool = False,
         slow_factor: float = 1.0,
         directives: Sequence[CorruptionDirective] = (),
         bypass_fastpath: bool = False,
@@ -107,10 +106,10 @@ class SystemWorker:
         serviceable — via ``reset_heap()`` when possible, a full rebuild
         when not (a worker crash always rebuilds).
 
-        ``observe=True`` additionally fills ``result.launches`` with one
-        record per kernel launch (name, cycles, replay-cache outcome) —
-        pure host-side reads of scheduler/replay state, so the simulated
-        machine and its cycle counts are untouched.
+        ``result.launches`` carries one record per kernel launch (name,
+        cycles, replay-cache outcome) — pure host-side reads of scheduler
+        state, so the simulated machine and its cycle counts are
+        untouched.
 
         ``slow_factor`` applies an injected latency spike and
         ``directives`` the corruption for this attempt, both drawn by the
@@ -120,10 +119,6 @@ class SystemWorker:
         """
         start = time.perf_counter()
         self.last_recovery = None
-        cache = self.system.llc.runtime.replay_cache if observe else None
-        launch_log: Optional[List[Tuple[int, str]]] = None
-        if cache is not None:
-            launch_log = cache.launch_log = []
         replay_cache = self.system.llc.runtime.replay_cache
         if replay_cache is not None:
             if bypass_fastpath:
@@ -173,8 +168,6 @@ class SystemWorker:
             self._recover()
             raise
         finally:
-            if cache is not None:
-                cache.launch_log = None
             if surface.armed:
                 surface.disarm()
         integrity_info: Optional[Dict[str, Any]] = None
@@ -192,20 +185,18 @@ class SystemWorker:
                 self.failures += 1
                 self._recover()
                 raise
+        # collect per-launch records before reset_heap() clears the
+        # scheduler's completed/breakdowns state
+        scheduler = self.system.llc.runtime.scheduler
         launches: List[Dict[str, Any]] = []
-        if observe:
-            # collect per-launch records before reset_heap() clears the
-            # scheduler's completed/breakdowns state
-            scheduler = self.system.llc.runtime.scheduler
-            outcomes = dict(launch_log or ())
-            for kernel in scheduler.completed:
-                phases = scheduler.breakdowns.get(kernel.kernel_id)
-                launches.append({
-                    "kernel_id": kernel.kernel_id,
-                    "name": kernel.name,
-                    "cycles": phases.total if phases is not None else 0,
-                    "replay": outcomes.get(kernel.kernel_id, "off"),
-                })
+        for kernel in scheduler.completed:
+            phases = scheduler.breakdowns.get(kernel.kernel_id)
+            launches.append({
+                "kernel_id": kernel.kernel_id,
+                "name": kernel.name,
+                "cycles": phases.total if phases is not None else 0,
+                "replay": kernel.replay,
+            })
         self._restore_replay_flags()
         self.system.reset_heap()
         wall = time.perf_counter() - start

@@ -408,7 +408,7 @@ class TestFastpathSwitches:
         assert system.llc.runtime.replay_cache is None
 
     def test_constructor_flag_disables_fastpath(self):
-        assert ArcaneSystem(CFG, fastpath=False).llc.runtime.replay_cache is None
+        assert ArcaneSystem(CFG.with_fastpath(False)).llc.runtime.replay_cache is None
         assert ArcaneSystem(SLOW).llc.runtime.replay_cache is None
         assert ArcaneSystem(CFG).llc.runtime.replay_cache is not None
 

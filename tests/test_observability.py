@@ -3,8 +3,9 @@
 The two load-bearing guarantees:
 
 * **zero perturbation** — an ``observe=True`` run produces bit-identical
-  outputs, cycle counts and timelines to an ``observe=False`` run (the
-  layer is host-side bookkeeping only);
+  outputs, cycle counts, event logs and launch records to an
+  ``observe=False`` run (spans and timelines are built from the event
+  log after the run);
 * **determinism** — same seeds export byte-identical trace JSON.
 """
 
@@ -15,8 +16,8 @@ import pytest
 
 from repro.core.config import ArcaneConfig
 from repro.obs import (
-    NULL_RECORDER,
     RollingMetrics,
+    ServingEvent,
     SpanRecorder,
     auto_interval,
     build_timeline,
@@ -26,8 +27,9 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.serve.engine import ServingEngine
-from repro.serve.faults import ServingError, WorkerSupervisor
-from repro.serve.request import gemm_request
+from repro.serve.faults import RetryPolicy, ServingError, WorkerSupervisor
+from repro.serve.request import conv_layer_request, gemm_request
+from repro.serve.traffic import TrafficSpec, stamp_arrivals, stamp_deadlines
 
 CFG = ArcaneConfig(n_vpus=2, lanes=4, line_bytes=256, vpu_kib=8, main_memory_kib=512)
 
@@ -100,12 +102,6 @@ class TestSpanRecorder:
         assert len(rec.find(worker=1)) == 2
         assert len(rec.find("launch", worker=1)) == 1
 
-    def test_null_recorder_is_inert(self):
-        span = NULL_RECORDER.begin("x", "anything-goes", 5)
-        NULL_RECORDER.end(span, 1)  # no validation, no storage
-        NULL_RECORDER.instant("y", 2)
-        assert NULL_RECORDER.enabled is False
-
 
 # -- rolling metrics unit behavior -------------------------------------------
 
@@ -161,24 +157,24 @@ class TestRollingMetrics:
             metrics.busy("b", "0", 10, 5)
 
 
-# -- supervisor health instants ----------------------------------------------
+# -- supervisor health events -------------------------------------------------
 
 
-class TestSupervisorRecorder:
-    def test_health_transitions_mirror_to_recorder(self):
+class TestSupervisorEvents:
+    def test_health_transitions_land_in_event_log(self):
         supervisor = WorkerSupervisor(2, threshold=2, quarantine_for=1)
-        recorder = SpanRecorder()
-        supervisor.recorder = recorder
         error = ServingError("boom")
         supervisor.record_failure(0, 10, error)
         supervisor.record_failure(0, 20, error)  # -> quarantined
         supervisor.tick(30)  # -> probation
         supervisor.record_success(0, 40)  # -> reinstated
-        names = [i.name for i in recorder.instants]
-        assert names == ["quarantined", "probation", "reinstated"]
-        assert all(i.attrs["worker"] == 0 for i in recorder.instants)
-        # the JSON event log saw the same transitions
-        assert [e["event"] for e in supervisor.events] == names
+        assert supervisor.events == [
+            ServingEvent(20, "quarantined", worker=0),
+            ServingEvent(30, "probation", worker=0),
+            ServingEvent(40, "reinstated", worker=0),
+        ]
+        assert all(e.source == "health" and e.request_id is None
+                   for e in supervisor.events)
 
 
 # -- the faulted end-to-end run ----------------------------------------------
@@ -322,26 +318,116 @@ class TestMergedEvents:
 # -- equivalence: observe on/off is bit-identical -----------------------------
 
 
+#: a crash plan that quarantines worker 1 under a bounded admission queue
+CRASH_QUEUE = dict(
+    traffic="bursty:12:0", queue_capacity=4,
+    faults="crash_worker:1@1,crash_worker:1@2,crash_worker:1@3",
+)
+
+#: report keys that are measurements of the host or of the observation
+#: itself, not of the run
+UNOBSERVED_KEYS = ("wall_seconds", "requests_per_second", "timeline")
+
+
+def assert_observe_invariant(plain, observed):
+    assert plain.makespan_cycles == observed.makespan_cycles
+    assert plain.latency_cycles == observed.latency_cycles
+    assert plain.availability == observed.availability
+    assert plain.events() == observed.events()
+
+    def record(report):
+        return {k: v for k, v in report.as_dict().items()
+                if k not in UNOBSERVED_KEYS}
+
+    assert record(plain) == record(observed)
+    for a, b in zip(plain.results, observed.results):
+        assert a.request_id == b.request_id
+        assert a.status == b.status
+        assert a.sim_cycles == b.sim_cycles
+        assert a.attempts == b.attempts
+        assert a.arrival_cycle == b.arrival_cycle
+        assert a.start_cycle == b.start_cycle
+        assert a.completion_cycle == b.completion_cycle
+        assert a.breakdown.as_dict() == b.breakdown.as_dict()
+        assert a.launches == b.launches
+        if a.output is None:
+            assert b.output is None
+        else:
+            assert np.array_equal(a.output, b.output)
+
+
 class TestObservabilityEquivalence:
     def test_observed_run_bit_identical(self):
         plain = faulted_report(observe=False)
-        observed = faulted_report(observe=True)
-        assert plain.makespan_cycles == observed.makespan_cycles
-        assert plain.latency_cycles == observed.latency_cycles
-        assert plain.availability == observed.availability
-        for a, b in zip(plain.results, observed.results):
-            assert a.request_id == b.request_id
-            assert a.status == b.status
-            assert a.sim_cycles == b.sim_cycles
-            assert a.attempts == b.attempts
-            assert a.arrival_cycle == b.arrival_cycle
-            assert a.start_cycle == b.start_cycle
-            assert a.completion_cycle == b.completion_cycle
-            assert a.breakdown.as_dict() == b.breakdown.as_dict()
-            if a.output is None:
-                assert b.output is None
-            else:
-                assert np.array_equal(a.output, b.output)
+        assert any(r.launches for r in plain.results)
+        assert_observe_invariant(plain, faulted_report(observe=True))
+
+    def test_crash_and_bounded_queue_bit_identical(self):
+        plain = faulted_report(observe=False, **CRASH_QUEUE)
+        sources = {e["source"] for e in plain.events()}
+        assert sources == {"dispatch", "fault", "health"}
+        assert_observe_invariant(plain, faulted_report(observe=True, **CRASH_QUEUE))
+
+
+# -- span trees on every terminal path ----------------------------------------
+
+
+def deadlined_requests():
+    stamped = stamp_arrivals(small_requests(), TrafficSpec.parse("bursty:12:0"))
+    return stamp_deadlines(stamped, budget_cycles=20000)
+
+
+def mixed_requests():
+    # conv layers sit outside ABFT's gemm-family coverage, so a flip
+    # there survives to the golden check
+    rng = np.random.default_rng(5)
+    requests = small_requests(8)
+    for rid in range(8, 12):
+        image = rng.integers(-8, 8, (3 * 12, 12)).astype(np.int8)
+        filters = rng.integers(-2, 3, (9, 3)).astype(np.int8)
+        requests.append(conv_layer_request(rid, image, filters))
+    return requests
+
+
+#: (engine kwargs, requests, serve_online kwargs, terminal status exercised)
+TERMINAL_RUNS = {
+    "queue_full": (
+        dict(pool_size=1), lambda: small_requests(6),
+        dict(traffic="bursty:6:0", queue_capacity=1), "shed",
+    ),
+    "deadline": (dict(pool_size=2), deadlined_requests, dict(), "shed"),
+    "exhausted_retries": (
+        dict(pool_size=2), small_requests,
+        dict(FAULTED, faults="transient:0.6", retry=RetryPolicy(max_attempts=2)),
+        "failed",
+    ),
+    "abft_corrupted": (
+        dict(pool_size=2, integrity="abft"), mixed_requests,
+        dict(FAULTED, faults="flip:0.5", verify="report"), "corrupted",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERMINAL_RUNS))
+def test_span_trees_on_every_terminal_path(name):
+    engine_kwargs, requests, serve_kwargs, terminal = TERMINAL_RUNS[name]
+    engine = ServingEngine(config=CFG, **engine_kwargs)
+    report = engine.serve_online(requests(), observe=True, **serve_kwargs)
+    spans = report.spans
+    assert any(r.status == terminal for r in report.results)
+    assert spans.open_spans == 0
+    roots = spans.roots()
+    assert len(roots) == len(report.results)
+    for result in report.results:
+        [root] = [s for s in roots if s.attrs["request"] == result.request_id]
+        assert root.attrs["status"] == result.status
+        if result.status == "shed":
+            assert root.attrs["cause"] == result.fault_class
+            continue
+        if result.status == "failed":
+            assert root.attrs["fault_class"] == result.fault_class
+        attempts = spans.children(root.span_id)
+        assert [s.category for s in attempts] == ["attempt"] * result.attempts
 
 
 # -- trace export -------------------------------------------------------------
