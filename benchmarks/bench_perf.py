@@ -9,7 +9,13 @@ simulated cycles — those are bit-exact between modes by contract):
   replay cache exists for), once with the fast path disabled
   (``fastpath=False``, the pre-replay slow interpreter) and once enabled;
 * **online serving** — a pool of workers serves the same repeated
-  workload through the arrival-driven dispatcher.
+  workload through the arrival-driven dispatcher;
+* **distinct operands** — a pool of 2 serves the serving mix of
+  ``bench_serving.make_workload`` (fresh operands on every request, so
+  no launch key ever repeats).  Replay cannot help here; the row shows
+  what the fast path costs on such traffic, and the benchmark fails if
+  any launch was recorded (second-sighting admission must defer every
+  one of them — a deterministic counter, unlike the wall-clock ratio).
 
 For every workload the two modes are cross-checked to be bit-exact
 (outputs, per-request simulated cycles, stats counters, phase
@@ -39,6 +45,7 @@ import time
 
 import numpy as np
 
+from bench_serving import make_workload
 from repro.core.config import ArcaneConfig
 from repro.serve import (
     ServingEngine,
@@ -142,6 +149,43 @@ def run_online(config: ArcaneConfig, requests_factory, n_requests: int,
     }
 
 
+def run_distinct(config: ArcaneConfig, n_requests: int, size: int, seed: int) -> dict:
+    """Offline serving of a distinct-operand mix over a pool of 2."""
+    measurements = {}
+    for fastpath in (False, True):
+        engine = ServingEngine(pool_size=2, config=config.with_fastpath(fastpath))
+        requests = make_workload(n_requests, size, seed)
+        start = time.perf_counter()
+        report = engine.serve(requests)
+        wall = time.perf_counter() - start
+        measurements[fastpath] = (wall, report)
+
+    slow_wall, slow_report = measurements[False]
+    fast_wall, fast_report = measurements[True]
+    assert_bit_exact(slow_report.results, fast_report.results, "distinct")
+    replay = {}
+    for stats in fast_report.replay["per_worker"].values():
+        for key, value in stats.items():
+            replay[key] = replay.get(key, 0) + value
+    if replay["recorded"] != 0:
+        raise AssertionError(
+            f"distinct: {replay['recorded']} launches recorded on traffic whose "
+            "launch keys never repeat (admission must defer them all)"
+        )
+    return {
+        "label": "distinct_mix",
+        "requests": n_requests,
+        "size": size,
+        "slow_seconds": round(slow_wall, 4),
+        "fast_seconds": round(fast_wall, 4),
+        "speedup": round(slow_wall / fast_wall, 2),
+        "slow_requests_per_sec": round(n_requests / slow_wall, 1),
+        "fast_requests_per_sec": round(n_requests / fast_wall, 1),
+        "replay": replay,
+        "bit_exact": True,
+    }
+
+
 def summary_line(section: dict) -> str:
     return (
         f"{section['label']:<14} fastpath off {section['slow_seconds']:.2f}s"
@@ -191,6 +235,7 @@ def main() -> None:
         run_repeated(config, conv, args.repeats, f"conv_layer_{size}"),
         run_online(config, gemm, args.online_requests, args.trace,
                    args.traffic_seed),
+        run_distinct(config, 100 if args.smoke else 300, 12, args.seed),
     ]
 
     record = {
@@ -221,6 +266,11 @@ def main() -> None:
         f"{sections[0]['repeats']}x repeated {sections[0]['label']}"
         f" ({sections[0]['kernel_launches']} kernel launches,"
         f" {sections[0]['sim_cycles']} simulated cycles)"
+    )
+    distinct = sections[-1]["replay"]
+    print(
+        f"distinct_mix replay: misses={distinct['misses']}"
+        f" deferred={distinct['deferred']} recorded={distinct['recorded']}"
     )
     print(f"JSON perf record written to {args.output}")
 

@@ -161,7 +161,8 @@ class MatrixAllocator:
                 row = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
                 vpu.vrf.write(register, row)
                 total += cycles
-                yield cycles
+                if not self.sim.advance(cycles):
+                    yield cycles
         finally:
             self.controller.release_lock("ecpu")
         self._c_rows_loaded.add(n_rows)
@@ -193,7 +194,8 @@ class MatrixAllocator:
                 values = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
                 self.vpus[window.vpu_index].vrf.write(window[reg], values)
                 total += cycles
-                yield cycles
+                if not self.sim.advance(cycles):
+                    yield cycles
         finally:
             self.controller.release_lock("ecpu")
         self._c_rows_loaded.add(len(specs))
@@ -233,7 +235,8 @@ class MatrixAllocator:
                 values = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
                 vpu.vrf.write(register, values, offset=row * matrix.cols)
                 total += cycles
-                yield cycles
+                if not self.sim.advance(cycles):
+                    yield cycles
         finally:
             self.controller.release_lock("ecpu")
         self._c_rows_loaded.add(matrix.rows)
@@ -271,7 +274,8 @@ class MatrixAllocator:
                     payload = self.corruption.on_dma_row(payload)
                 self.controller.route_write(address, payload)
                 total += cycles
-                yield cycles
+                if not self.sim.advance(cycles):
+                    yield cycles
         finally:
             self.controller.release_lock("ecpu")
         self._c_rows_stored.add(n_rows)

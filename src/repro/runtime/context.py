@@ -46,6 +46,7 @@ class KernelContext:
         self.allocator = allocator
         self.dispatcher = dispatcher
         self.phases = phases
+        self.sim = allocator.sim
         self._windows: List[RegisterWindow] = []
 
     # -- register windows ---------------------------------------------------
@@ -113,19 +114,17 @@ class KernelContext:
         charged to the allocation phase — this is the wall-clock
         attribution behind Figure 3's allocation share.
         """
-        sim = self.allocator.sim
         generator = self.allocator.load_row_set(specs)
-        return sim.process(generator, name=f"prefetch.vpu{self.vpu_index}")
+        return self.sim.process(generator, name=f"prefetch.vpu{self.vpu_index}")
 
     def wait_prefetch(self, handle) -> Generator:
         """Join an outstanding prefetch; charge only the exposed wait."""
         if handle is None:
             return 0
-        sim = self.allocator.sim
-        started = sim.now
+        started = self.sim.now
         if not handle.finished:
             yield handle
-        exposed = sim.now - started
+        exposed = self.sim.now - started
         self.phases.add("allocation", exposed)
         return exposed
 
@@ -178,7 +177,8 @@ class KernelContext:
         """Issue one built :class:`VectorOp` (replay-recording hook point)."""
         cost = self.dispatcher.dispatch(self.vpu_index, op)
         self.phases.add("compute", cost)
-        yield cost
+        if not self.sim.advance(cost):
+            yield cost
         return cost
 
     def read_element(self, vreg: int, index: int, etype: Optional[ElementType] = None) -> Generator:
@@ -186,5 +186,6 @@ class KernelContext:
         etype = etype or self.etype
         value = int(self.vpu.vrf.view(vreg, etype)[index])
         self.phases.add("compute", self.SCALAR_READ_CYCLES)
-        yield self.SCALAR_READ_CYCLES
+        if not self.sim.advance(self.SCALAR_READ_CYCLES):
+            yield self.SCALAR_READ_CYCLES
         return value

@@ -7,10 +7,14 @@ tile-loop generator on every launch: thousands of generator suspensions,
 ``VectorOp`` constructions and per-row bookkeeping just to re-derive a
 micro-program stream that is fully determined by the launch key.  This
 module separates the *schedule* from its *execution* (the Exo/SYS_ATL
-record-once-replay-cheaply idea applied to a simulator): the first launch
-records the stream of :class:`~repro.runtime.context.KernelContext`
-effects, and later launches replay that stream in a tight loop with a
-single simulator suspension.
+record-once-replay-cheaply idea applied to a simulator): the second
+sighting of a launch key records the stream of
+:class:`~repro.runtime.context.KernelContext` effects, and later launches
+replay that stream in a tight loop with a single simulator suspension.
+The first sighting only remembers the key (:meth:`ReplayCache.admit`):
+most serving traffic carries fresh operands whose keys never repeat, and
+recording them would cost a slow launch's worth of bookkeeping and
+memory for nothing.
 
 Bit-exactness contract
 ----------------------
@@ -688,6 +692,30 @@ def replay_kernel(
     yield t
 
 
+class Doorkeeper:
+    """Second-sighting admission over an LRU set of at most ``capacity`` keys.
+
+    :meth:`admit` returns True (and forgets the key) when ``key`` was
+    already seen; otherwise it remembers the key and returns False.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._seen: "OrderedDict[tuple, None]" = OrderedDict()
+
+    def admit(self, key: tuple) -> bool:
+        if key in self._seen:
+            del self._seen[key]
+            return True
+        self._seen[key] = None
+        if len(self._seen) > self.capacity:
+            self._seen.popitem(last=False)
+        return False
+
+    def clear(self) -> None:
+        self._seen.clear()
+
+
 class ReplayCache:
     """Bounded cache of kernel recordings, keyed on the full launch key.
 
@@ -695,7 +723,7 @@ class ReplayCache:
     FleetReplayCache`), a local miss falls back to recordings published
     by *other* workers' caches, and locally recorded replayable
     recordings are published for the rest of the pool — one worker's
-    first launch warms the fleet.  Recordings are position-independent
+    recording warms the fleet.  Recordings are position-independent
     and replays re-execute against live state, so a fleet hit is
     bit-exact with recording locally; the fleet assumes identically
     configured workers (same config and compiled-library install, hence
@@ -708,6 +736,8 @@ class ReplayCache:
         self.library = library
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, Recording]" = OrderedDict()
+        #: keys seen once and not yet recorded
+        self._doorkeeper = Doorkeeper(capacity)
         self._generation = library.generation
         #: optional cross-worker recording store (set by SystemWorker)
         self.fleet = None
@@ -715,8 +745,8 @@ class ReplayCache:
         #: system's VRF — never shared or pickled with the recording)
         self._compiled: Dict[tuple, list] = {}
         self.stats: Dict[str, int] = {
-            "hits": 0, "misses": 0, "recorded": 0, "bypassed": 0,
-            "invalidated": 0, "fleet_hits": 0,
+            "hits": 0, "misses": 0, "deferred": 0, "recorded": 0,
+            "bypassed": 0, "invalidated": 0, "fleet_hits": 0,
         }
         #: integrity hook: when a list, every key this cache stored or
         #: replayed during the current attempt is appended, so a failed
@@ -789,9 +819,7 @@ class ReplayCache:
         self._sync_generation()
         recording = self._entries.get(key)
         if recording is not None:
-            # LRU refresh: a stream of one-off keys (every distinct
-            # operand payload records) must not evict the hot recordings
-            # the cache exists for.
+            # LRU refresh: recordings that keep hitting stay resident.
             self._entries.move_to_end(key)
             return recording
         if self.fleet is not None:
@@ -803,6 +831,22 @@ class ReplayCache:
                 self._trim()
                 self.stats["fleet_hits"] += 1
         return recording
+
+    def admit(self, key: tuple) -> bool:
+        """Should this missed launch be recorded?  True on a key's second sighting.
+
+        Recording costs a full slow-path launch plus the stream's memory,
+        and only pays back if the key comes again, so a key is merely
+        remembered the first time it misses ("cache on second hit", the
+        TinyLFU doorkeeper).  One-off keys thus never enter the recording
+        LRU and cannot evict the recordings that do hit.  The seen-set is
+        an LRU bounded by ``capacity``; with a fleet attached it is the
+        fleet's pool-wide one, so a key any worker saw once is recorded by
+        whichever worker sees it next.
+        """
+        if self.fleet is not None:
+            return self.fleet.admit(key)
+        return self._doorkeeper.admit(key)
 
     def store(self, key: tuple, recording: Recording) -> None:
         self._sync_generation()
@@ -829,6 +873,7 @@ class ReplayCache:
     def clear(self) -> None:
         self.stats["invalidated"] += len(self._entries)
         self._entries.clear()
+        self._doorkeeper.clear()
         self._compiled.clear()
 
     def invalidate(self, key: tuple) -> None:

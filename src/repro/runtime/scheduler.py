@@ -191,7 +191,8 @@ class KernelScheduler:
         self, kernel: QueuedKernel, spec: KernelSpec, vpu_index: int,
         phases: PhaseBreakdown,
     ) -> Generator:
-        """Fast-path dispatch: replay a recording, or record this launch."""
+        """Fast-path dispatch: replay a recording, or record this launch
+        if its key was seen before."""
         cache = self.replay_cache
         key = cache.key_for(kernel, vpu_index, self.controller)
         recording = cache.lookup(key)
@@ -211,6 +212,12 @@ class KernelScheduler:
             return
         cache.stats["misses"] += 1
         kernel.replay = "miss"
+        if not cache.admit(key):
+            # first sighting: most keys never come back, so don't pay
+            # for recording one until it does
+            cache.stats["deferred"] += 1
+            yield from self._execute_single(kernel, spec.body, vpu_index, phases)
+            return
         recording = Recording(vpu_index, self.allocator._free[vpu_index])
         before = dict(phases.cycles)
         yield from self._execute_single(

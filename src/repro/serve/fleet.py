@@ -11,7 +11,8 @@ newly recorded streams into and fall back to on a local miss.
 
 Every worker in the pool holds the same object, so a publish is visible
 to the whole pool at once and a retraction removes a recording for
-everyone.
+everyone.  The fleet also owns the pool-wide admission seen-set: a key
+any worker missed once is recorded by whichever worker misses it next.
 
 Sharing recordings cannot change results: replay is bit-exact with the
 slow path by the replay module's contract, and ``can_replay`` still
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.runtime.replay import Recording
+from repro.runtime.replay import Doorkeeper, Recording
 
 
 class FleetReplayCache:
@@ -36,6 +37,8 @@ class FleetReplayCache:
             raise ValueError("fleet cache capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, Recording]" = OrderedDict()
+        #: pool-wide admission seen-set (see ``ReplayCache.admit``)
+        self._doorkeeper = Doorkeeper(capacity)
         self.stats = {"published": 0, "served": 0, "retracted": 0}
 
     def __len__(self) -> int:
@@ -48,6 +51,10 @@ class FleetReplayCache:
             self.stats["served"] += 1
         return recording
 
+    def admit(self, key: tuple) -> bool:
+        """Pool-wide second-sighting admission for a locally missed key."""
+        return self._doorkeeper.admit(key)
+
     def publish(self, key: tuple, recording: Recording) -> None:
         """Share one locally recorded stream with the rest of the pool."""
         if key in self._entries:
@@ -59,8 +66,8 @@ class FleetReplayCache:
     def retract(self, key: tuple) -> None:
         """Remove a poisoned recording fleet-wide, so a corrupt recording
         one worker produced can never be replayed by another."""
-        self._entries.pop(key, None)
-        self.stats["retracted"] += 1
+        if self._entries.pop(key, None) is not None:
+            self.stats["retracted"] += 1
 
     def _trim(self) -> None:
         while len(self._entries) > self.capacity:

@@ -152,7 +152,9 @@ class Simulator:
     * when exactly one resumption is pending (a single runnable process
       stepping through ``yield n`` after ``yield n`` — the shape of every
       kernel-replay and DMA loop), the next entry is popped without a
-      heap sift.
+      heap sift;
+    * a process that is the only one able to run before its own wake-up
+      skips the suspension entirely via :meth:`advance`.
     """
 
     def __init__(self) -> None:
@@ -161,6 +163,8 @@ class Simulator:
         self._ready: Deque[Tuple[Process, Any]] = deque()
         self._sequence = 0
         self._processes: List[Process] = []
+        self._running = False
+        self._until: Optional[int] = None
 
     def event(self, name: str = "") -> Event:
         """Create a fresh event bound to this simulator."""
@@ -183,6 +187,32 @@ class Simulator:
         heapq.heappush(self._heap, (self.now + delay, self._sequence, process, send_value))
         self._sequence += 1
 
+    def advance(self, delay: int) -> bool:
+        """Move time forward ``delay`` cycles inline, if nothing could interleave.
+
+        The running process calls ``if not sim.advance(n): yield n``.  When
+        the same-cycle FIFO is empty, every heap entry lies strictly after
+        ``now + delay`` and ``now + delay`` does not pass ``run(until=)``,
+        the event loop's next pop would be the caller's own wake-up, so
+        advancing ``now`` in place and carrying on yields the identical
+        timeline (FIFO tie-breaks included: an entry *at* ``now + delay``
+        was scheduled earlier and must run first, hence the strict test).
+        Returns False — time untouched — whenever that does not hold,
+        including outside :meth:`run`, and for ``delay <= 0`` (a zero-delay
+        yield stays a real suspension, so the livelock guard still sees it).
+        """
+        target = self.now + delay
+        if (
+            not self._running
+            or delay <= 0
+            or self._ready
+            or (self._heap and self._heap[0][0] <= target)
+            or (self._until is not None and target > self._until)
+        ):
+            return False
+        self.now = target
+        return True
+
     def run(self, until: Optional[int] = None, max_events: int = 50_000_000) -> int:
         """Run until the event queue drains (or ``until`` cycles / event cap).
 
@@ -191,6 +221,15 @@ class Simulator:
         processes ping-ponging zero-delay events) would otherwise spin
         forever.
         """
+        self._running = True
+        self._until = until
+        try:
+            return self._loop(until, max_events)
+        finally:
+            self._running = False
+            self._until = None
+
+    def _loop(self, until: Optional[int], max_events: int) -> int:
         handled = 0
         heap = self._heap
         ready = self._ready

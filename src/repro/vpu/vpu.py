@@ -120,19 +120,22 @@ class Vpu:
             else None
         )
 
+        # Integer arithmetic is defined as int64-then-truncate.  Truncation
+        # mod 2**w is a ring homomorphism, so add/mul/macc computed directly
+        # in the wrapping element dtype, with the scalar pre-wrapped, give
+        # the same bits without widening copies.
         if opcode is VectorOpcode.VMV:
             dst[:] = src
         elif opcode is VectorOpcode.VADD_VV:
-            dst[:] = (src.astype(np.int64) + other.astype(np.int64)).astype(dtype)
+            np.add(src, other, out=dst)
         elif opcode is VectorOpcode.VMUL_VV:
-            dst[:] = (src.astype(np.int64) * other.astype(np.int64)).astype(dtype)
+            np.multiply(src, other, out=dst)
         elif opcode is VectorOpcode.VMACC_VS:
-            acc = dst.astype(np.int64) + src.astype(np.int64) * int(op.scalar)
-            dst[:] = acc.astype(dtype)
+            dst += src * np.int64(op.scalar).astype(dtype)
         elif opcode is VectorOpcode.VMUL_VS:
-            dst[:] = (src.astype(np.int64) * int(op.scalar)).astype(dtype)
+            np.multiply(src, np.int64(op.scalar).astype(dtype), out=dst)
         elif opcode is VectorOpcode.VADD_VS:
-            dst[:] = (src.astype(np.int64) + int(op.scalar)).astype(dtype)
+            np.add(src, np.int64(op.scalar).astype(dtype), out=dst)
         elif opcode is VectorOpcode.VMAX_VV:
             dst[:] = np.maximum(dst, src)
         elif opcode is VectorOpcode.VMAX_VS:

@@ -64,6 +64,10 @@ class TestFleetReplayCache:
         requests = repeated_gemm_batch(4)
         cold_engine = ServingEngine(pool_size=2, config=CFG)
         shared_engine = ServingEngine(pool_size=2, config=CFG, share_replay=True)
+        # one leading launch: the fleet sees the key once on worker 0, so
+        # the batch's first launch records it (its second sighting)
+        for engine in (cold_engine, shared_engine):
+            engine.serve_online(repeated_gemm_batch(1))
         cold = cold_engine.serve_online(requests)
         shared = shared_engine.serve_online(requests)
         for a, b in zip(cold.results, shared.results):

@@ -77,12 +77,14 @@ class TestRepeatedLaunches:
         b = rng.integers(-6, 6, (12, 8)).astype(np.int16)
         c = rng.integers(-6, 6, (10, 8)).astype(np.int16)
         fast_worker, slow_worker = paired_workers()
+        # one leading launch: a key's first sighting only marks it
+        run_both(gemm_request(0, a, b, c, alpha=2, beta=-1), fast_worker, slow_worker)
         results = []
         for i in range(4):
             request = gemm_request(i, a, b, c, alpha=2, beta=-1)
             fast, _ = run_both(request, fast_worker, slow_worker)
             results.append(fast)
-        # first launch records, later identical launches replay
+        # the second sighting records, later identical launches replay
         assert results[0].reports[0].replay["misses"] == 1
         assert results[0].reports[0].replay["recorded"] == 1
         for result in results[1:]:
@@ -177,7 +179,8 @@ class TestAllKernelsBitExact:
         runner = HANDWRITTEN_CASES[name]
         fast = ArcaneSystem(CFG)
         slow = ArcaneSystem(SLOW)
-        for launch in range(3):
+        # launch 0 is the key's first sighting, launch 1 records it
+        for launch in range(4):
             seeded = np.random.default_rng(123)
             out_fast, rep_fast = runner(fast, seeded)
             seeded = np.random.default_rng(123)
@@ -186,7 +189,7 @@ class TestAllKernelsBitExact:
             assert_reports_equal(rep_fast, rep_slow, f"{name} launch {launch}")
             fast.reset_heap()
             slow.reset_heap()
-        # the second and third launches must have been replays, not re-runs
+        # the third and fourth launches must have been replays, not re-runs
         assert fast.llc.runtime.replay_cache.stats["hits"] >= 2
 
     def test_conv_layer_prefetch_replay_is_bit_exact(self, rng):
@@ -292,6 +295,10 @@ class TestLifecycleInvalidation:
 
         def sequence(system):
             outs = []
+            # one leading launch: the first sighting only marks the key
+            out, report = _run_gemm(system, a, b, c, 2, -1)
+            outs.append((out, report))
+            system.reset_heap()
             out, report = _run_gemm(system, a, b, c, 2, -1)
             outs.append((out, report))
             system.reset_heap()
@@ -324,6 +331,8 @@ class TestLifecycleInvalidation:
         b = rng.integers(-6, 6, (5, 5)).astype(np.int16)
         c = np.zeros((5, 5), dtype=np.int16)
         system = ArcaneSystem(CFG)
+        _run_gemm(system, a, b, c, 1, 0)  # first sighting: not recorded
+        system.reset_heap()
         out, _ = _run_gemm(system, a, b, c, 1, 0)
         system.reset_heap()
         out2, _ = _run_gemm(system, a, b, c, 1, 0)
@@ -401,6 +410,127 @@ class TestDestReadingKernels:
             assert fast_cycles == slow_cycles
 
 
+def _gemm_operands(rng, shape=(6, 7, 5)):
+    m, k, n = shape
+    return (
+        rng.integers(-6, 6, (m, k)).astype(np.int16),
+        rng.integers(-6, 6, (k, n)).astype(np.int16),
+        rng.integers(-6, 6, (m, n)).astype(np.int16),
+    )
+
+
+def assert_admission_accounting(replay, poisoned=0):
+    """Every miss is either deferred (first sighting) or recorded; a
+    poisoned recording is stored but counts as neither."""
+    assert replay["deferred"] + replay["recorded"] + poisoned == replay["misses"]
+
+
+class TestSecondSightingAdmission:
+    """A missed launch key is recorded only on its second sighting."""
+
+    def test_distinct_operand_stream_records_nothing(self, rng):
+        fast_worker, slow_worker = paired_workers()
+        n = 6
+        totals = {}
+        for i in range(n):
+            request = gemm_request(i, *_gemm_operands(rng), alpha=1, beta=1)
+            fast, _ = run_both(request, fast_worker, slow_worker)
+            for key, value in fast.reports[0].replay.items():
+                totals[key] = totals.get(key, 0) + value
+        assert totals["recorded"] == 0
+        assert totals["deferred"] == totals["misses"] == n
+        assert len(fast_worker.system.llc.runtime.replay_cache) == 0
+
+    def test_first_defers_second_records_third_hits(self, rng):
+        a, b, c = _gemm_operands(rng)
+        fast_worker, slow_worker = paired_workers()
+        outcomes = []
+        for i in range(3):
+            fast, _ = run_both(
+                gemm_request(i, a, b, c, alpha=2, beta=-1), fast_worker, slow_worker
+            )
+            replay = fast.reports[0].replay
+            assert_admission_accounting(replay)
+            outcomes.append(
+                (replay["deferred"], replay["recorded"], replay["hits"],
+                 fast.launches[0]["replay"])
+            )
+        assert outcomes == [(1, 0, 0, "miss"), (0, 1, 0, "miss"), (0, 0, 1, "hit")]
+
+    def test_fleet_admission_is_pool_wide(self, rng):
+        """Worker A's first sighting makes worker B's first launch of the
+        same key record and publish; A then replays it from the fleet."""
+        from repro.serve import FleetReplayCache
+
+        fleet = FleetReplayCache()
+        worker_a = SystemWorker(0, CFG, fleet=fleet)
+        worker_b = SystemWorker(1, CFG, fleet=fleet)
+        slow_a, slow_b = SystemWorker(0, SLOW), SystemWorker(1, SLOW)
+        a, b, c = _gemm_operands(rng)
+        cache_a = worker_a.system.llc.runtime.replay_cache
+        cache_b = worker_b.system.llc.runtime.replay_cache
+
+        run_both(gemm_request(0, a, b, c), worker_a, slow_a)
+        assert cache_a.stats["deferred"] == 1 and len(fleet) == 0
+        run_both(gemm_request(1, a, b, c), worker_b, slow_b)
+        assert cache_b.stats["recorded"] == 1 and cache_b.stats["deferred"] == 0
+        assert fleet.stats["published"] == 1
+        run_both(gemm_request(2, a, b, c), worker_a, slow_a)
+        assert cache_a.stats["fleet_hits"] == 1 and cache_a.stats["hits"] == 1
+
+    def test_one_off_keys_cannot_evict_a_hot_recording(self, rng):
+        system = ArcaneSystem(CFG)
+        runtime = system.llc.runtime
+        cache = ReplayCache(runtime.library, capacity=4)
+        runtime.replay_cache = runtime.scheduler.replay_cache = cache
+        hot = _gemm_operands(rng)
+        for _ in range(2):  # first sighting, then the recording
+            _run_gemm(system, *hot, 1, 1)
+            system.reset_heap()
+        assert cache.stats["recorded"] == 1
+        for round_ in range(3):
+            for _ in range(5):  # more one-off keys than the cache holds
+                _run_gemm(system, *_gemm_operands(rng), 1, 1)
+                system.reset_heap()
+            _, report = _run_gemm(system, *hot, 1, 1)
+            system.reset_heap()
+            assert report.replay["hits"] == 1, f"round {round_}"
+        assert cache.stats["recorded"] == 1
+        assert cache.stats["deferred"] == 16
+        assert_admission_accounting(cache.stats)
+
+    def test_poisoned_recording_counts_as_neither(self, rng):
+        """A body that bypasses the KernelContext API is recorded on its
+        second sighting, poisoned by ``finalize``, and never replayed."""
+        from repro.runtime.kernels.gemm import gemm_preamble
+        from repro.vpu.visa import VectorOpcode
+
+        def sneaky(kc, kernel, shard=None):
+            window = kc.claim(1)
+            yield from kc.vop(VectorOpcode.VCLEAR, vd=window[0], vl=kernel.dest.cols)
+            kc.phases.add("compute", 1)  # behind the context's back
+            yield from kc.store_rows(window, kernel.dest, 0, 1)
+
+        system = ArcaneSystem(CFG)
+        system.llc.runtime.library.register(KernelSpec(9, "sneaky", gemm_preamble, sneaky))
+        a = rng.integers(-4, 4, (4, 4)).astype(np.int16)
+        from repro.isa.xmnmc import pack_pair
+
+        for _ in range(3):
+            ma, md = system.place_matrix(a), system.place_matrix(np.zeros_like(a))
+            with system.program() as prog:
+                prog.xmr(0, ma).xmr(1, ma).xmr(2, ma).xmr(3, md)
+                prog.xmk(9, "h", rs1=pack_pair(1, 0), rs2=pack_pair(2, 3),
+                         rs3=pack_pair(0, 1))
+            system.reset_heap()
+        stats = system.llc.runtime.replay_cache.stats
+        # sighting 1 defers, sighting 2 records a poisoned stream, sighting 3
+        # finds it but must take the slow path
+        assert (stats["misses"], stats["deferred"], stats["recorded"]) == (2, 1, 0)
+        assert stats["bypassed"] == 1 and stats["hits"] == 0
+        assert_admission_accounting(stats, poisoned=1)
+
+
 class TestFastpathSwitches:
     def test_env_var_disables_fastpath(self, monkeypatch):
         monkeypatch.setenv("ARCANE_NO_FASTPATH", "1")
@@ -456,8 +586,9 @@ class TestReplayCacheMechanics:
         fast = ArcaneSystem(CFG)
         slow = ArcaneSystem(SLOW)
         for system in (fast, slow):
-            out, _ = _run_gemm(system, a, b, c, 1, 0)
-            system.reset_heap()
+            for _ in range(2):  # the second sighting records
+                out, _ = _run_gemm(system, a, b, c, 1, 0)
+                system.reset_heap()
         # perturb both systems identically: pin one vector register on
         # every VPU so the free list no longer matches the recording
         for system in (fast, slow):

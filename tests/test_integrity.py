@@ -211,6 +211,9 @@ class TestReplayPoisoningDefense:
         ]
         a = rng.integers(-5, 5, (4, 4)).astype(np.int16)
         b = rng.integers(-5, 5, (4, 4)).astype(np.int16)
+        # one leading clean launch: the key's first sighting, so the
+        # corrupted launch below is the one that records and publishes
+        workers[0].run(gemm_request(0, a, b))
         with pytest.raises(SilentCorruptionError):
             workers[0].run(
                 gemm_request(0, a, b),

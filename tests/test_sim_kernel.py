@@ -328,3 +328,104 @@ class TestFastForwardOrdering:
         assert log == [0, 10, 20]
         assert sim.run(until=45) == 45
         assert log == [0, 10, 20, 30, 40]
+
+
+class TestInlineAdvance:
+    """``Simulator.advance`` skips a suspension only when the event loop
+    would have resumed the caller next anyway, so any process mix must
+    produce the identical ``(now, process, value)`` trace either way."""
+
+    @staticmethod
+    def _script(rng, index, n_events, length=12):
+        actions = []
+        for _ in range(length):
+            kind = rng.choice(["delay", "delay", "delay", "wait", "fire", "join"])
+            if kind == "delay":
+                actions.append(("delay", int(rng.choice([0, 1, 2, 3, 5, 8, 13]))))
+            elif kind == "join" and index > 0:
+                actions.append(("join", int(rng.integers(0, index))))
+            elif kind == "fire":
+                actions.append(("fire", int(rng.integers(0, n_events)),
+                                int(rng.integers(0, 100))))
+            else:
+                actions.append(("wait", int(rng.integers(0, n_events))))
+        return actions
+
+    @staticmethod
+    def _run(scripts, n_events, use_advance, stops):
+        sim = Simulator()
+        events = [sim.event(f"e{i}") for i in range(n_events)]
+        processes = []
+        trace = []
+        inline = [0]
+
+        def body(name, actions):
+            for step, action in enumerate(actions):
+                kind = action[0]
+                if kind == "delay":
+                    if use_advance and sim.advance(action[1]):
+                        inline[0] += 1
+                    else:
+                        yield action[1]
+                    value = action[1]
+                elif kind == "wait":
+                    value = yield events[action[1]]
+                elif kind == "join":
+                    value = yield processes[action[1]]
+                else:
+                    events[action[1]].fire(action[2])
+                    value = action[2]
+                trace.append((sim.now, name, step, value))
+            return name
+
+        for index, actions in enumerate(scripts):
+            processes.append(sim.process(body(f"p{index}", actions), name=f"p{index}"))
+        for stop in stops:
+            trace.append(("until", sim.run(until=stop)))
+        trace.append(("end", sim.run()))
+        return trace, inline[0]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_process_mix_matches_plain_yields(self, seed):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        n_events = 3
+        scripts = [
+            self._script(rng, index, n_events)
+            for index in range(int(rng.integers(1, 6)))
+        ]
+        stops = sorted(int(t) for t in rng.integers(0, 60, int(rng.integers(0, 4))))
+        plain, _ = self._run(scripts, n_events, False, stops)
+        fast, _ = self._run(scripts, n_events, True, stops)
+        assert fast == plain
+
+    def test_advance_actually_fires_for_a_lone_process(self):
+        trace_plain, _ = self._run([[("delay", 3)] * 5], 1, False, [7])
+        trace_fast, inline = self._run([[("delay", 3)] * 5], 1, True, [7])
+        assert trace_fast == trace_plain
+        # 0 -> 3 -> 6 inline; 9 would pass until=7, then 12, 15 inline
+        assert inline == 4
+
+    def test_advance_is_refused_outside_run(self):
+        sim = Simulator()
+        assert sim.advance(5) is False
+        assert sim.now == 0
+
+    def test_advance_refuses_when_another_entry_is_due_first_or_tied(self):
+        sim = Simulator()
+        results = []
+
+        def other():
+            yield 10
+
+        def caller():
+            results.append(sim.advance(10))  # tie with other's wake-up
+            results.append(sim.advance(9))
+            results.append(sim.advance(1))  # now 9 + 1 == other's 10
+            yield 0
+
+        sim.process(other(), name="other")
+        sim.process(caller(), name="caller")
+        sim.run()
+        assert results == [False, True, False]

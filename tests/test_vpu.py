@@ -312,3 +312,68 @@ class TestStridedGatherView:
         assert np.array_equal(
             vpu.vrf.view(1, ElementType.W)[:6], acc + 7 * src[2 : 2 + 3 * 6 : 3]
         )
+
+
+def _int64_reference(opcode, dst, src, other, scalar, dtype):
+    """Every opcode computed in int64, then truncated to the element width."""
+    d, s, o = (x.astype(np.int64) for x in (dst, src, other))
+    out = d.copy()
+    if opcode is VectorOpcode.VCLEAR:
+        out[:] = 0
+    elif opcode is VectorOpcode.VMV:
+        out = s
+    elif opcode is VectorOpcode.VADD_VV:
+        out = s + o
+    elif opcode is VectorOpcode.VMUL_VV:
+        out = s * o
+    elif opcode is VectorOpcode.VMACC_VS:
+        out = d + s * scalar
+    elif opcode is VectorOpcode.VMUL_VS:
+        out = s * scalar
+    elif opcode is VectorOpcode.VADD_VS:
+        out = s + scalar
+    elif opcode is VectorOpcode.VMAX_VV:
+        out = np.maximum(d, s)
+    elif opcode is VectorOpcode.VMAX_VS:
+        out = np.maximum(s, scalar)
+    elif opcode is VectorOpcode.VMIN_VS:
+        out = np.minimum(s, scalar)
+    elif opcode is VectorOpcode.VSRA_VS:
+        out = s >> scalar
+    elif opcode is VectorOpcode.VREDSUM:
+        out[0] = s.sum()
+    return out.astype(dtype)
+
+
+class TestSameWidthArithmetic:
+    """``Vpu.execute`` computes add/mul/macc in the wrapping element dtype;
+    the bits must equal the int64-then-truncate definition for every
+    opcode and width, including scalars far outside the element range."""
+
+    @pytest.mark.parametrize("etype", list(ElementType), ids=lambda e: e.suffix)
+    @pytest.mark.parametrize("opcode", list(VectorOpcode), ids=lambda o: o.value)
+    def test_matches_int64_reference(self, opcode, etype):
+        rng = np.random.default_rng([list(VectorOpcode).index(opcode), etype.nbytes])
+        dtype = etype.np_dtype
+        info = np.iinfo(dtype)
+        bits = 8 * etype.nbytes
+        if opcode is VectorOpcode.VSRA_VS:
+            scalars = [0, 1, bits - 1]
+        elif opcode in (VectorOpcode.VMAX_VS, VectorOpcode.VMIN_VS):
+            scalars = [info.min, -1, 0, info.max]  # these raise out of range
+        else:
+            scalars = [0, -1, info.max, info.min, info.max + 5,
+                       info.min - 7, 2**40 + 3, -(2**45) - 1]
+        vl = 37
+        for scalar in scalars:
+            vpu = make_vpu()
+            dst, src, other = (
+                rng.integers(info.min, info.max, vl, endpoint=True).astype(dtype)
+                for _ in range(3)
+            )
+            for reg, values in enumerate((dst, src, other)):
+                vpu.vrf.write(reg, values)
+            vpu.execute(VectorOp(opcode, etype, vd=0, vs1=1, vs2=2, vl=vl,
+                                 scalar=scalar))
+            expected = _int64_reference(opcode, dst, src, other, scalar, dtype)
+            assert np.array_equal(vpu.vrf.view(0, etype)[:vl], expected), scalar
