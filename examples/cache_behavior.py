@@ -21,7 +21,7 @@ from repro.baselines.reference import ref_leaky_relu
 
 def cache_mode_demo() -> None:
     print("=== 1. normal cache functioning mode ===")
-    system = ArcaneSystem(ArcaneConfig(lanes=2), trace=True)
+    system = ArcaneSystem(ArcaneConfig(lanes=2))
     data = np.arange(64 * 64, dtype=np.int32).reshape(64, 64)
     matrix = system.place_matrix(data, "data")
 
@@ -46,7 +46,7 @@ def cache_mode_demo() -> None:
 
 def hazard_demo() -> None:
     print("\n=== 2. cache locking and hazards management ===")
-    system = ArcaneSystem(ArcaneConfig(lanes=2), trace=True)
+    system = ArcaneSystem(ArcaneConfig(lanes=2))
     x = np.full((8, 16), -7, dtype=np.int32)
     mx = system.place_matrix(x, "x")
     out = system.alloc_matrix(x.shape, np.int32, "out")
@@ -72,12 +72,12 @@ def hazard_demo() -> None:
     assert system.read_matrix(mx)[0, 0] == 12345  # the store did land, after release
     print("  kernel output unaffected by the racing store: verified")
 
-    print("\n  hazard timeline (from the trace):")
-    for event in system.llc.tracer.events:
-        if event.kind in ("stall_hazard", "lock_acquired", "kernel_done"):
-            print(f"    {event}")
-            if event.kind == "kernel_done":
-                break
+    print("\n  where the cycles went:")
+    for kernel_id, phases in sorted(report.per_kernel.items()):
+        split = "  ".join(f"{name}={cycles}" for name, cycles in phases.as_dict().items())
+        print(f"    kernel {kernel_id}: {split}  (total {phases.total})")
+    print(f"    host program: {report.host_cycles} cycles "
+          f"(the stalled load and store included); run total: {report.total_cycles}")
 
 
 def main() -> None:

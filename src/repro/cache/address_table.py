@@ -30,7 +30,7 @@ class OperandKind(enum.Enum):
 
 
 class HazardKind(enum.Enum):
-    """Which hazard a blocked access ran into (for tracing/tests)."""
+    """Which hazard a blocked access ran into (keys the stall counters)."""
 
     WAR = "war"  # store to busy source
     RAW = "raw"  # load from pending destination

@@ -28,7 +28,6 @@ from repro.mem.bus import BusModel
 from repro.mem.memory import MainMemory
 from repro.sim.kernel import Event, Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 
 
 class LlcController:
@@ -44,7 +43,6 @@ class LlcController:
         memory: MainMemory,
         bus: BusModel,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.ct = cache_table
@@ -52,7 +50,6 @@ class LlcController:
         self.memory = memory
         self.bus = bus
         self.stats = stats or StatsRegistry()
-        self.tracer = tracer or Tracer(enabled=False)
         self.lock_holder: Optional[str] = None
         self._host_inflight = 0
         self._state_change: Event = sim.event("llc.state_change")
@@ -92,13 +89,11 @@ class LlcController:
             yield self._state_change
         self.lock_holder = owner
         self._c_lock_acquired.add()
-        self.tracer.log(self.sim.now, "llc", "lock_acquired", owner=owner)
 
     def release_lock(self, owner: str = "ecpu") -> None:
         if self.lock_holder != owner:
             raise RuntimeError(f"{owner!r} does not hold the LLC lock")
         self.lock_holder = None
-        self.tracer.log(self.sim.now, "llc", "lock_released", owner=owner)
         self._notify()
 
     @property
@@ -128,7 +123,6 @@ class LlcController:
         # 1. the eCPU lock blocks all host traffic.
         while self.lock_holder is not None:
             self._c_host_lock_stalls.add()
-            self.tracer.log(self.sim.now, "host", "stall_lock", addr=address)
             yield self._state_change
 
         # 2. hazard check against the Address Table.  Hit lines flagged
@@ -143,10 +137,6 @@ class LlcController:
                 break
             hazard = self.at.hazard_for(address, size, is_write)
             self._c_hazard_stalls[hazard].add()
-            self.tracer.log(
-                self.sim.now, "host", "stall_hazard",
-                addr=address, hazard=hazard.value, matrix=entry.matrix_id,
-            )
             if entry.released is not None:
                 yield entry.released
             else:  # AT built without a simulator: busy state must be cleared externally

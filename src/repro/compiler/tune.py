@@ -14,11 +14,10 @@ set, so the winner can never be worse than stock.
 Winners are memoized in a :class:`ScheduleCache` keyed like the replay
 cache — kernel name + operand geometry + an
 :class:`~repro.core.config.ArcaneConfig` fingerprint — and the cache is
-JSON-persistable so tuning survives across processes.  Serving
-(:class:`~repro.serve.engine.ServingEngine`) retunes hot keys online and
-swaps winners in via library re-registration; admission control
-(:func:`~repro.serve.dispatch.estimate_service_cycles`) consults the
-cache's measured cycles before falling back to its trip-count heuristic.
+JSON-persistable so tuning survives across processes.  A winner is
+deployed by re-registering :func:`~repro.compiler.library.recompile` of
+its recipe into a system's kernel library (``replace=True`` bumps the
+library generation, so stale replay recordings are dropped).
 """
 
 from __future__ import annotations
@@ -128,13 +127,6 @@ class ScheduleCache:
         self, kernel: str, geometry: str, config: ArcaneConfig, entry: TunedSchedule
     ) -> None:
         self._entries[self.key_for(kernel, geometry, config)] = entry
-
-    def measured_cycles(
-        self, kernel: str, geometry: str, config: ArcaneConfig
-    ) -> Optional[int]:
-        """Measured cycles of the tuned winner, or None when untuned."""
-        entry = self._entries.get(self.key_for(kernel, geometry, config))
-        return None if entry is None else entry.cycles
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -24,7 +24,6 @@ from repro.mem.memory import MainMemory
 from repro.runtime.crt import CacheRuntime
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 from repro.vpu.dispatcher import Dispatcher
 from repro.vpu.vpu import Vpu
 from repro.vpu.vrf import VectorRegisterFile
@@ -40,13 +39,11 @@ class ArcaneLlc:
         config: ArcaneConfig,
         memory: MainMemory,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.memory = memory
         self.stats = stats or StatsRegistry()
-        self.tracer = tracer or Tracer(enabled=False)
 
         self.bus = BusModel(
             width_bytes=config.bus_width_bytes,
@@ -61,7 +58,7 @@ class ArcaneLlc:
         self.address_table = AddressTable(config.address_table_entries, sim)
         self.controller = LlcController(
             sim, self.cache_table, self.address_table, memory, self.bus,
-            self.stats, self.tracer,
+            self.stats,
         )
         self.vpus = [
             Vpu(
@@ -81,14 +78,13 @@ class ArcaneLlc:
             n_matrix_registers=config.n_matrix_registers,
             queue_capacity=config.kernel_queue_capacity,
             stats=self.stats,
-            tracer=self.tracer,
             multi_vpu=config.multi_vpu,
             vpu_policy=config.vpu_policy,
             fastpath=config.fastpath,
         )
         self.runtime.allocator.lock_overhead_cycles = config.lock_overhead_cycles
         self.runtime.install_default_kernels()
-        self.bridge = Bridge(sim, self.runtime.decode, self.stats, self.tracer)
+        self.bridge = Bridge(sim, self.runtime.decode, self.stats)
         # Fault-injection applicator for data-corruption clauses; inert
         # (all hooks None) until a serving fault plan arms it.
         self.corruption = CorruptionSurface(self)

@@ -37,7 +37,6 @@ from repro.mem.memory import MainMemory, MainMemoryError
 from repro.runtime.phases import PhaseBreakdown
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 from repro.utils.bitops import align_up
 from repro.xbridge.bridge import OffloadOutcome
 
@@ -53,8 +52,8 @@ class RunReport:
     outcomes: List[OffloadOutcome]
     stats: Dict[str, int]
     load_values: List[int] = field(default_factory=list)
-    #: kernel replay-cache activity during this run (hits / misses /
-    #: recorded / bypassed / invalidated); empty when the fast path is
+    #: kernel replay-cache activity during this run (the
+    #: :attr:`ReplayCache.stats` deltas); empty when the fast path is
     #: off.  Kept out of :attr:`stats` on purpose — the simulated-world
     #: counters must be bit-exact between fast and slow paths, while this
     #: block describes the host-side machinery.
@@ -193,24 +192,18 @@ class ArcaneSystem:
     #: Matrices are placed from this offset, line-aligned.
     HEAP_BASE = 0x0001_0000
 
-    def __init__(
-        self,
-        config: Optional[ArcaneConfig] = None,
-        trace: bool = False,
-    ) -> None:
+    def __init__(self, config: Optional[ArcaneConfig] = None) -> None:
         """Build one system.
 
         ``ArcaneSystem(config.with_fastpath(False))`` forces every kernel
         launch down the slow interpreted path; ``ARCANE_NO_FASTPATH=1``
-        does the same globally.  Tracing also disables the fast path: a
-        replayed kernel would not emit per-operation trace events.
+        does the same globally.
         """
         self.config = config or ArcaneConfig()
         self.sim = Simulator()
         self.stats = StatsRegistry()
-        self.tracer = Tracer(enabled=trace)
         self.memory = MainMemory(self.config.main_memory_kib * 1024, base=0)
-        self.llc = ArcaneLlc(self.sim, self.config, self.memory, self.stats, self.tracer)
+        self.llc = ArcaneLlc(self.sim, self.config, self.memory, self.stats)
         self.llc.start()
         self._heap = align_up(self.HEAP_BASE, self.config.line_bytes)
         self._matrix_count = 0

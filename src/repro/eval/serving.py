@@ -90,9 +90,6 @@ class ServingReport:
     #: replay-cache activity for the run (per-worker stat deltas,
     #: including cross-worker ``fleet_hits``); attached by the engine
     replay: Optional[Dict] = None
-    #: online autotuning activity (policy, schedule-cache stats, per-key
-    #: tuned-vs-default cycle deltas and swaps); attached by the engine
-    autotune: Optional[Dict] = None
     #: data-integrity accounting (policy, injected corruption counts,
     #: detected/corrected/undetected, recall, escalations); attached by
     #: the engine when a policy or corruption injection was active
@@ -181,8 +178,6 @@ class ServingReport:
             }
         if self.replay is not None:
             record["replay"] = self.replay
-        if self.autotune is not None:
-            record["autotune"] = self.autotune
         if self.integrity is not None:
             record["integrity"] = self.integrity
         if self.timeline is not None:

@@ -25,7 +25,6 @@ from repro.runtime.replay import ReplayCache, fastpath_enabled
 from repro.runtime.scheduler import KernelScheduler
 from repro.sim.kernel import Process, Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 from repro.vpu.dispatcher import Dispatcher
 from repro.isa.xmnmc import OffloadRequest
 
@@ -42,7 +41,6 @@ class CacheRuntime:
         n_matrix_registers: int = 8,
         queue_capacity: int = 8,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         decode_costs: DecodeCosts = DecodeCosts(),
         multi_vpu: bool = False,
         vpu_policy: str = "fewest_dirty",
@@ -51,7 +49,6 @@ class CacheRuntime:
         self.sim = sim
         self.controller = controller
         self.stats = stats or StatsRegistry()
-        self.tracer = tracer or Tracer(enabled=False)
         self.matrix_map = MatrixMap(n_matrix_registers)
         self.library = KernelLibrary()
         self.queue = KernelQueue(queue_capacity, sim)
@@ -60,18 +57,16 @@ class CacheRuntime:
         )
         self.decoder = KernelDecoder(
             sim, self.matrix_map, self.library, self.queue, controller.at,
-            self.stats, self.tracer, decode_costs,
+            self.stats, decode_costs,
         )
         #: the kernel replay cache (None when the fast path is disabled via
-        #: config, ``ARCANE_NO_FASTPATH=1`` or per-op tracing)
+        #: config or ``ARCANE_NO_FASTPATH=1``)
         self.replay_cache = (
-            ReplayCache(self.library)
-            if fastpath_enabled(fastpath) and not self.tracer.enabled
-            else None
+            ReplayCache(self.library) if fastpath_enabled(fastpath) else None
         )
         self.scheduler = KernelScheduler(
             sim, self.queue, self.library, dispatcher, self.allocator, controller,
-            self.stats, self.tracer, multi_vpu=multi_vpu, vpu_policy=vpu_policy,
+            self.stats, multi_vpu=multi_vpu, vpu_policy=vpu_policy,
             replay_cache=self.replay_cache,
         )
         self._scheduler_process: Optional[Process] = None

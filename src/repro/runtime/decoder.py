@@ -29,7 +29,6 @@ from repro.runtime.matrix import MatrixMap
 from repro.runtime.queue import KernelQueue, QueuedKernel
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 from repro.vpu.visa import ElementType
 
 
@@ -55,7 +54,6 @@ class KernelDecoder:
         queue: KernelQueue,
         address_table: AddressTable,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         costs: DecodeCosts = DecodeCosts(),
     ) -> None:
         self.sim = sim
@@ -64,7 +62,6 @@ class KernelDecoder:
         self.queue = queue
         self.at = address_table
         self.stats = stats or StatsRegistry()
-        self.tracer = tracer or Tracer(enabled=False)
         self.costs = costs
         self._c_renames = self.stats.counter("decoder.renames")
         self._c_xmr = self.stats.counter("decoder.xmr")
@@ -100,10 +97,6 @@ class KernelDecoder:
         if self.matrix_map.rename_count > renames_before:
             self._c_renames.add()
         self._c_xmr.add()
-        self.tracer.log(
-            self.sim.now, "decoder", "xmr",
-            md=md, addr=address, rows=rows, cols=cols, etype=etype.suffix,
-        )
         yield self.costs.xmr_bind
         self._pending_preamble_cycles += self.costs.xmr_bind
         return None
@@ -114,7 +107,6 @@ class KernelDecoder:
         spec = self.library.lookup(request.func5)
         if spec is None:
             self._c_rejected.add()
-            self.tracer.log(self.sim.now, "decoder", "reject", func5=request.func5)
             yield self.costs.reject
             self._pending_preamble_cycles = 0
             return None
@@ -152,8 +144,4 @@ class KernelDecoder:
         yield self.costs.kernel_preamble
         yield from self.queue.push_wait(kernel)
         self._c_accepted.add()
-        self.tracer.log(
-            self.sim.now, "decoder", "accept",
-            kernel=kernel.kernel_id, name=spec.name, func5=request.func5,
-        )
         return kernel

@@ -50,8 +50,8 @@ at full speed.  What *does* invalidate recordings:
   digest (all part of the key — a miss, not a wrong replay);
 * an environment the timeline model cannot promise to reproduce (LLC
   lock held or host access in flight at launch, a different VRF
-  free-list state, multi-VPU sharding, tracing) — the launch silently
-  takes the slow path ("bypassed").
+  free-list state, multi-VPU sharding) — the launch silently takes the
+  slow path ("bypassed").
 
 Kernel bodies interact with the machinery only through the closed
 :class:`KernelContext` API; a body that mutated simulator state behind
@@ -746,7 +746,7 @@ class ReplayCache:
         self._compiled: Dict[tuple, list] = {}
         self.stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "deferred": 0, "recorded": 0,
-            "bypassed": 0, "invalidated": 0, "fleet_hits": 0,
+            "poisoned": 0, "bypassed": 0, "invalidated": 0, "fleet_hits": 0,
         }
         #: integrity hook: when a list, every key this cache stored or
         #: replayed during the current attempt is appended, so a failed

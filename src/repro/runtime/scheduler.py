@@ -35,7 +35,6 @@ from repro.runtime.replay import (
 )
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 from repro.vpu.dispatcher import Dispatcher
 
 
@@ -54,7 +53,6 @@ class KernelScheduler:
         allocator: MatrixAllocator,
         controller: LlcController,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         multi_vpu: bool = False,
         vpu_policy: str = "fewest_dirty",
         replay_cache: Optional[ReplayCache] = None,
@@ -66,12 +64,11 @@ class KernelScheduler:
         self.allocator = allocator
         self.controller = controller
         self.stats = stats or StatsRegistry()
-        self.tracer = tracer or Tracer(enabled=False)
         self.multi_vpu = multi_vpu
         self.vpu_policy = vpu_policy
         #: the kernel replay cache (None = fast path disabled).  Replay is
-        #: incompatible with per-op tracing and with multi-VPU sharding,
-        #: so those launches always take the slow path.
+        #: incompatible with multi-VPU sharding, so sharded launches
+        #: always take the slow path.
         self.replay_cache = replay_cache
         #: fault-injection hook (repro.integrity.inject): called once per
         #: kernel launch with the kernel's operand bindings so an armed
@@ -165,8 +162,7 @@ class KernelScheduler:
             else:
                 vpu_index = self.select_vpu()
                 if self.replay_cache is not None \
-                        and not self.replay_cache.suspended \
-                        and not self.tracer.enabled:
+                        and not self.replay_cache.suspended:
                     yield from self._execute_replayable(kernel, spec, vpu_index, phases)
                 else:
                     yield from self._execute_single(kernel, spec.body, vpu_index, phases)
@@ -182,10 +178,6 @@ class KernelScheduler:
         if kernel.done is not None:
             kernel.done.fire(phases)
         self._c_kernels.add()
-        self.tracer.log(
-            self.sim.now, "scheduler", "kernel_done",
-            kernel=kernel.kernel_id, name=kernel.name, cycles=phases.total,
-        )
 
     def _execute_replayable(
         self, kernel: QueuedKernel, spec: KernelSpec, vpu_index: int,
@@ -228,6 +220,8 @@ class KernelScheduler:
         }
         if recording.finalize(delta):
             cache.stats["recorded"] += 1
+        else:
+            cache.stats["poisoned"] += 1
         if cache.touched is not None:
             cache.touched.append(key)
         cache.store(key, recording)
@@ -268,10 +262,6 @@ class KernelScheduler:
                 vpu_index, kernel.etype, self.allocator, self.dispatcher, phases,
                 kernel, recording,
             )
-        self.tracer.log(
-            self.sim.now, "scheduler", "kernel_start",
-            kernel=kernel.kernel_id, name=kernel.name, vpu=vpu_index,
-        )
         try:
             yield from body(context, kernel)
         finally:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,46 +69,18 @@ SHED = "shed"
 ADMISSION_POLICIES = ("fifo", "priority", "edf", "sjf")
 
 
-def estimate_service_cycles(
-    request: InferenceRequest,
-    schedule_cache=None,
-    config=None,
-) -> int:
+def estimate_service_cycles(request: InferenceRequest) -> int:
     """Deterministic service-cost estimate for shortest-job-first ranking.
 
-    With a :class:`~repro.compiler.tune.ScheduleCache` and the pool's
-    :class:`~repro.core.config.ArcaneConfig`, a library-kernel request
-    whose ``(kernel, geometry, config)`` has been autotuned returns the
-    cache's **measured** simulated cycles — ground truth from the tuner's
-    runs — instead of an estimate.  Otherwise, where the kernel
-    semantics are known the estimate mirrors the compiled kernel's loop
-    trip counts (a gemm macc-accumulates ``m * n * k`` elements; a conv
-    layer visits every output pixel once per filter tap); for opaque
-    single-kernel and graph requests it falls back to operand + output
-    volume.  The unit is arbitrary — only the *ordering* matters, and it
-    is a pure function of the request (and the cache contents), so every
-    run ranks identically.
+    Where the kernel semantics are known the estimate mirrors the
+    compiled kernel's loop trip counts (a gemm macc-accumulates
+    ``m * n * k`` elements; a conv layer visits every output pixel once
+    per filter tap); for opaque single-kernel and graph requests it
+    falls back to operand + output volume.  The unit is arbitrary — only
+    the *ordering* matters, and it is a pure function of the request,
+    so every run ranks identically.
     """
     payload = request.payload
-
-    if (
-        schedule_cache is not None
-        and config is not None
-        and request.kind == "kernel"
-    ):
-        from repro.compiler.library import NAME_BY_FUNC5
-        from repro.compiler.tune import geometry_key
-
-        name = NAME_BY_FUNC5.get(payload["func5"])
-        if name is not None and payload["inputs"]:
-            geometry = geometry_key(
-                [np.asarray(m).shape for m in payload["inputs"]],
-                np.asarray(payload["inputs"][0]).dtype,
-                payload["params"],
-            )
-            measured = schedule_cache.measured_cycles(name, geometry, config)
-            if measured is not None:
-                return int(measured)
 
     def volume(array) -> int:
         return int(np.asarray(array).size)
@@ -145,11 +117,6 @@ class AdmissionPolicy:
     """
 
     kind: str = "fifo"
-    #: optional :class:`~repro.compiler.tune.ScheduleCache` + pool config:
-    #: when set, ``sjf`` ranks autotuned library-kernel requests by their
-    #: *measured* cycles instead of the trip-count heuristic
-    schedule_cache: Any = None
-    config: Any = None
 
     def __post_init__(self) -> None:
         if self.kind not in ADMISSION_POLICIES:
@@ -182,9 +149,7 @@ class AdmissionPolicy:
             if request.deadline_cycle is None:
                 return (1, 0)  # no deadline: after every deadlined request
             return (0, int(request.deadline_cycle))
-        return (  # sjf
-            estimate_service_cycles(request, self.schedule_cache, self.config),
-        )
+        return (estimate_service_cycles(request),)  # sjf
 
 
 # -- the pool -----------------------------------------------------------------

@@ -9,8 +9,9 @@ modes take one path: a single runner drives the
 
 * **offline** (:meth:`ServingEngine.serve`) computes a request→worker
   assignment up front — balancing estimated service cost
-  (``least_loaded``, by :func:`~repro.serve.dispatch.estimate_service_cycles`)
-  or strictly round-robin — and runs the core on the dispatch-sequence
+  (``least_loaded``, by :func:`~repro.serve.dispatch.estimate_service_cycles`,
+  the one cost estimate ``sjf`` admission also ranks by) or strictly
+  round-robin — and runs the core on the dispatch-sequence
   clock (immediate retries, no simulated timeline);
 * **online** (:meth:`ServingEngine.serve_online`) replays seeded request
   arrivals in simulated time on the cycle clock: admission-policy
@@ -32,15 +33,11 @@ modes take one path: a single runner drives the
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.compiler.library import NAME_BY_FUNC5
-from repro.compiler.tune import ScheduleCache, Tuner, geometry_key
 from repro.core.config import ArcaneConfig
 from repro.eval.serving import ServingReport, build_serving_report
 from repro.integrity.check import coerce_policy
@@ -71,44 +68,6 @@ from repro.serve.worker import SystemWorker
 POLICIES = ("least_loaded", "round_robin")
 
 
-@dataclass(frozen=True)
-class AutotunePolicy:
-    """When and how the engine retunes hot ``(kernel, geometry)`` keys.
-
-    A library-kernel request key becomes *hot* once it has been seen
-    ``threshold`` times (cumulative across serve calls); the engine then
-    runs one :class:`~repro.compiler.tune.Tuner` search (``budget``
-    simulator runs, ``beam_width`` survivors per level) and, when the
-    winner beats the stock recipe, swaps the tuned variant into every
-    pool worker via library re-registration — the generation bump
-    invalidates stale replay recordings, so outputs stay bit-exact.
-    """
-
-    threshold: int = 3
-    budget: int = 16
-    beam_width: int = 3
-
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError(f"autotune threshold must be >= 1, got {self.threshold}")
-
-    @classmethod
-    def coerce(cls, spec) -> Optional["AutotunePolicy"]:
-        """None/False | True | hit-threshold int | policy -> policy or None."""
-        if spec is None or spec is False:
-            return None
-        if spec is True:
-            return cls()
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, int):
-            return cls(threshold=spec)
-        raise ValueError(
-            f"autotune must be None, a bool, a hit threshold, or an "
-            f"AutotunePolicy; got {spec!r}"
-        )
-
-
 class ServingEngine:
     """Schedules independent requests over a pool of reusable systems."""
 
@@ -120,7 +79,6 @@ class ServingEngine:
         policy: str = "least_loaded",
         admission: Union[str, AdmissionPolicy, None] = "fifo",
         share_replay: bool = False,
-        autotune: Union[bool, int, AutotunePolicy, None] = None,
         integrity: Union[str, None] = "off",
     ) -> None:
         if pool_size < 1:
@@ -133,22 +91,6 @@ class ServingEngine:
         self.admission = AdmissionPolicy.coerce(admission)
         self.share_replay = share_replay
         self.integrity = coerce_policy(integrity)
-        self.autotune = AutotunePolicy.coerce(autotune)
-        self._tuner: Optional[Tuner] = None
-        #: cumulative (kernel, geometry) request counts across serve calls
-        self._hot_counts: Dict[Tuple[str, str], int] = {}
-        #: keys already tuned: (kernel, geometry) -> swap record
-        self._tuned: Dict[Tuple[str, str], Dict] = {}
-        if self.autotune is not None:
-            self._tuner = Tuner(
-                config or ArcaneConfig(), budget=self.autotune.budget,
-                beam_width=self.autotune.beam_width,
-            )
-            # measured tuned cycles feed sjf ranking through the cache
-            self.admission = dataclasses.replace(
-                self.admission, schedule_cache=self._tuner.cache,
-                config=self._tuner.config,
-            )
         fleet = FleetReplayCache() if share_replay else None
         self.pool = SerialPool([
             SystemWorker(
@@ -157,67 +99,6 @@ class ServingEngine:
             for i in range(pool_size)
         ])
         self.workers: List[SystemWorker] = self.pool.workers
-
-    @property
-    def schedule_cache(self) -> Optional[ScheduleCache]:
-        """The autotuner's schedule cache (None when autotuning is off)."""
-        return self._tuner.cache if self._tuner is not None else None
-
-    # -- online autotuning ----------------------------------------------------
-
-    def _autotune_requests(self, requests: Sequence[InferenceRequest]) -> None:
-        """Count library-kernel keys; retune and swap the ones that go hot.
-
-        Runs before dispatch: every compiled library-kernel request bumps
-        its ``(kernel, geometry)`` hit count, and a key crossing the
-        policy threshold gets one tuner search on the request's actual
-        operands.  A winner that beats the stock recipe is re-registered
-        into every pool worker (tuned outputs were checked bit-exact
-        against the default during the search, and the library generation
-        bump drops stale replay recordings).
-        """
-        if self._tuner is None:
-            return
-        for request in requests:
-            if request.kind != "kernel":
-                continue
-            payload = request.payload
-            name = NAME_BY_FUNC5.get(payload["func5"])
-            if name is None or not payload["inputs"]:
-                continue
-            inputs = [np.asarray(m) for m in payload["inputs"]]
-            geometry = geometry_key(
-                [m.shape for m in inputs], inputs[0].dtype, payload["params"]
-            )
-            key = (name, geometry)
-            self._hot_counts[key] = self._hot_counts.get(key, 0) + 1
-            if key in self._tuned or self._hot_counts[key] < self.autotune.threshold:
-                continue
-            result = self._tuner.tune(name, inputs, params=payload["params"])
-            record = result.as_dict()
-            record["swapped"] = result.best_recipe != result.default_recipe
-            if record["swapped"]:
-                for worker in self.workers:
-                    worker.register_recipe(name, result.best_recipe.to_json())
-            self._tuned[key] = record
-
-    def _autotune_report(self) -> Optional[Dict]:
-        """Autotuning section for the serving report (None when off)."""
-        if self._tuner is None:
-            return None
-        return {
-            "policy": {
-                "threshold": self.autotune.threshold,
-                "budget": self.autotune.budget,
-                "beam_width": self.autotune.beam_width,
-            },
-            "cache": self._tuner.cache.stats(),
-            "hot_keys": {
-                f"{kernel}|{geometry}": count
-                for (kernel, geometry), count in sorted(self._hot_counts.items())
-            },
-            "tuned": [record for _, record in sorted(self._tuned.items())],
-        }
 
     def close(self) -> None:
         """No-op: the in-process pool holds nothing to release.  Kept so
@@ -571,7 +452,6 @@ class ServingEngine:
         requests = list(requests)
         self._check_unique_ids(requests)
         validated = self._validate_mode(verify)
-        self._autotune_requests(requests)
         online = clock == CYCLE_CLOCK
         if traffic is not None:
             requests = stamp_arrivals(requests, traffic, seed)
@@ -606,7 +486,6 @@ class ServingEngine:
         report.results = results  # per-request detail rides along (not in JSON)
         report.event_log = core.events
         report.replay = self._replay_delta(replay_before)
-        report.autotune = self._autotune_report()
         report.integrity = self._collect_integrity(
             injector, core, requests, results, validated
         )

@@ -85,9 +85,6 @@ class SystemWorker:
         #: how the most recent failure was recovered:
         #: ``{"via": "reset"|"rebuild", "error": <swallowed reset diag>}``
         self.last_recovery: Optional[Dict[str, Optional[str]]] = None
-        #: autotuned schedule swaps: kernel name -> (recipe JSON, slot);
-        #: reapplied on every rebuild so fault recovery keeps tuned variants
-        self._recipe_overrides: Dict[str, Tuple[str, int]] = {}
 
     # -- request execution ----------------------------------------------------
 
@@ -249,31 +246,7 @@ class SystemWorker:
         if self.with_compiled:
             install_compiled(self.system.llc.runtime.library)
         self._attach_fleet()
-        for name, (recipe_json, slot) in self._recipe_overrides.items():
-            self._register_recipe(name, recipe_json, slot)
         self.rebuilds += 1
-
-    def register_recipe(
-        self, name: str, recipe_json: str, func5: Optional[int] = None
-    ) -> None:
-        """Swap one library kernel for a tuned-recipe variant.
-
-        Re-registers the recompiled spec (``replace=True`` bumps the
-        library generation, invalidating stale replay recordings) and
-        remembers the override so :meth:`rebuild` reapplies it after
-        fault recovery.  ``func5=None`` targets the kernel's stock slot.
-        """
-        from repro.compiler.library import DEFAULT_FUNC5
-
-        slot = DEFAULT_FUNC5[name] if func5 is None else func5
-        self._register_recipe(name, recipe_json, slot)
-        self._recipe_overrides[name] = (recipe_json, slot)
-
-    def _register_recipe(self, name: str, recipe_json: str, slot: int) -> None:
-        from repro.compiler.library import recompile
-
-        spec = recompile(name, recipe_json, func5=slot)
-        self.system.llc.runtime.library.register(spec, replace=True)
 
     def _attach_fleet(self) -> None:
         """Point the system's replay cache at the shared fleet store."""

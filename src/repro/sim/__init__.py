@@ -9,7 +9,6 @@ the DMA engine and the cache controller with cycle-level ordering.
 
 from repro.sim.kernel import Event, Process, Simulator, SimulationError
 from repro.sim.stats import Counter, Histogram, StatsRegistry
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Event",
@@ -19,6 +18,4 @@ __all__ = [
     "Counter",
     "Histogram",
     "StatsRegistry",
-    "TraceEvent",
-    "Tracer",
 ]

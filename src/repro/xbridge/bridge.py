@@ -20,7 +20,6 @@ from typing import Callable, Generator, Optional
 from repro.isa.xmnmc import OffloadRequest
 from repro.sim.kernel import Event, Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 
 
 class OffloadOutcome(enum.Enum):
@@ -44,13 +43,11 @@ class Bridge:
         sim: Simulator,
         decode: Callable[[OffloadRequest], Generator],
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         costs: BridgeCosts = BridgeCosts(),
     ) -> None:
         self.sim = sim
         self.decode = decode
         self.stats = stats or StatsRegistry()
-        self.tracer = tracer or Tracer(enabled=False)
         self.costs = costs
         self._busy = False
         self._freed: Event = sim.event("bridge.freed")
@@ -73,10 +70,6 @@ class Bridge:
         self._busy = True
         try:
             yield self.costs.sample
-            self.tracer.log(
-                self.sim.now, "bridge", "offload",
-                func5=request.func5, size=request.size_suffix, instr=request.instr_id,
-            )
             decoded = yield from self.decode(request)
             yield self.costs.respond
             outcome = (
@@ -86,10 +79,6 @@ class Bridge:
             )
             counter = "bridge.accepted" if outcome is OffloadOutcome.ACCEPTED else "bridge.killed"
             self.stats.counter(counter).add()
-            self.tracer.log(
-                self.sim.now, "bridge", "outcome",
-                instr=request.instr_id, outcome=outcome.value,
-            )
             return outcome
         finally:
             self._busy = False

@@ -14,7 +14,6 @@ from repro.mem.bus import BusModel
 from repro.mem.memory import MainMemory
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 
 
 def pytest_configure(config):
@@ -51,24 +50,18 @@ def system(small_config) -> ArcaneSystem:
     return ArcaneSystem(small_config)
 
 
-@pytest.fixture
-def traced_system(small_config) -> ArcaneSystem:
-    return ArcaneSystem(small_config, trace=True)
-
-
 class CacheHarness:
     """A bare cache controller + memory universe for cache unit tests."""
 
     def __init__(self, n_vpus=2, vregs=4, line_bytes=64, memory_bytes=64 * 1024):
         self.sim = Simulator()
         self.stats = StatsRegistry()
-        self.tracer = Tracer(enabled=True)
         self.memory = MainMemory(memory_bytes)
         self.bus = BusModel(offchip_latency=10)
         self.ct = CacheTable(n_vpus, vregs, line_bytes)
         self.at = AddressTable(8, self.sim)
         self.controller = LlcController(
-            self.sim, self.ct, self.at, self.memory, self.bus, self.stats, self.tracer
+            self.sim, self.ct, self.at, self.memory, self.bus, self.stats
         )
 
     def read(self, address: int, size: int = 4) -> int:

@@ -7,8 +7,8 @@ legal recipe computes exactly what the unscheduled algorithm computes**,
 checked bit-for-bit against the :func:`reference_output` interpreter on
 seeded random operands.  On top of that sit the tuner (budgeted beam
 search whose winner can never lose to the stock recipe), the
-JSON-persistable schedule cache, and the serving integration (hot-key
-retuning, pool-wide recipe swaps, measured-cycle SJF estimates).
+JSON-persistable schedule cache, and a pool-wide recipe swap into a
+serving engine through library re-registration.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.compiler import (
     DEFAULT_FUNC5,
     DEFAULT_RECIPES,
     FUNC5_CGEMM,
-    NAME_BY_FUNC5,
     Recipe,
     Schedule,
     ScheduleCache,
@@ -41,8 +40,7 @@ from repro.compiler.ir import CompilerError
 from repro.compiler.tune import TUNE_SLOT
 from repro.core.config import ArcaneConfig
 from repro.core.system import ArcaneSystem
-from repro.serve.dispatch import AdmissionPolicy, estimate_service_cycles
-from repro.serve.engine import AutotunePolicy, ServingEngine
+from repro.serve.engine import ServingEngine
 from repro.serve.request import kernel_request
 
 SMALL = ArcaneConfig(n_vpus=4, lanes=4, line_bytes=256, vpu_kib=8,
@@ -393,7 +391,7 @@ class TestTuner:
         path = tmp_path / "schedules.json"
         cache.save(path)
         loaded = ScheduleCache.load(path)
-        assert loaded.measured_cycles("cgemm", "1x2+2x3+1x3:int16", SMALL) == 100
+        assert loaded.get("cgemm", "1x2+2x3+1x3:int16", SMALL).cycles == 100
         again = loaded.get("cgemm", "1x2+2x3+1x3:int16", SMALL)
         assert again.recipe == entry.recipe
         assert again.speedup == pytest.approx(1.2)
@@ -415,7 +413,7 @@ class TestTuner:
 
 
 # ---------------------------------------------------------------------------
-# serving integration: estimates, swaps, hot-key retuning
+# serving integration: a pool-wide recipe swap
 # ---------------------------------------------------------------------------
 
 
@@ -427,44 +425,8 @@ def _gemm_kernel_request(request_id, rng, m=4, k=12, n=8):
                           params=[2, -1], dtype=np.int16)
 
 
-class TestServingEstimates:
-    def test_estimate_prefers_measured_cycles(self):
-        rng = np.random.default_rng(1)
-        request = _gemm_kernel_request(0, rng)
-        heuristic = estimate_service_cycles(request)
-        cache = ScheduleCache()
-        geometry = geometry_key(
-            [m.shape for m in request.payload["inputs"]], np.int16, [2, -1]
-        )
-        cache.put(
-            NAME_BY_FUNC5[FUNC5_CGEMM], geometry, SMALL,
-            TunedSchedule(Recipe([("vectorize", "j")]), 777, 900, 3),
-        )
-        assert estimate_service_cycles(request, cache, SMALL) == 777
-        assert estimate_service_cycles(request, cache, SMALL) != heuristic
-
-    def test_estimate_falls_back_without_entry(self):
-        rng = np.random.default_rng(1)
-        request = _gemm_kernel_request(0, rng)
-        cache = ScheduleCache()
-        assert estimate_service_cycles(request, cache, SMALL) == \
-            estimate_service_cycles(request)
-
-    def test_sjf_rank_uses_cache(self):
-        rng = np.random.default_rng(1)
-        request = _gemm_kernel_request(0, rng)
-        cache = ScheduleCache()
-        geometry = geometry_key(
-            [m.shape for m in request.payload["inputs"]], np.int16, [2, -1]
-        )
-        cache.put("cgemm", geometry, SMALL,
-                  TunedSchedule(Recipe([("vectorize", "j")]), 555, 900, 3))
-        policy = AdmissionPolicy("sjf", schedule_cache=cache, config=SMALL)
-        assert policy.rank(request) == (555,)
-
-
 class TestServingSwap:
-    def test_register_recipe_swaps_pool_and_stays_bit_exact(self):
+    def test_recompiled_variant_swaps_pool_and_stays_bit_exact(self):
         rng = np.random.default_rng(4)
         engine = ServingEngine(pool_size=2, config=SMALL)
         requests = [_gemm_kernel_request(i, rng) for i in range(3)]
@@ -474,83 +436,13 @@ class TestServingSwap:
         generation = library.generation
         variant = Recipe([("strip_mine", "k"), ("vectorize", "j")])
         for worker in engine.workers:
-            worker.register_recipe("cgemm", variant.to_json())
+            worker.system.llc.runtime.library.register(
+                recompile("cgemm", variant, func5=FUNC5_CGEMM), replace=True
+            )
         assert library.generation > generation  # stale replay invalidated
         spec = library.lookup(FUNC5_CGEMM)
         assert "strip_mine(k)" in spec.description
         swapped = engine.serve(requests, verify=True)
         for before, after in zip(outputs, swapped.results):
             assert np.array_equal(before, after.output)
-        engine.close()
-
-    def test_override_survives_rebuild(self):
-        engine = ServingEngine(pool_size=1, config=SMALL)
-        worker = engine.workers[0]
-        variant = Recipe([("strip_mine", "k"), ("vectorize", "j")])
-        worker.register_recipe("cgemm", variant.to_json())
-        worker.rebuild()
-        spec = worker.system.llc.runtime.library.lookup(FUNC5_CGEMM)
-        assert "strip_mine(k)" in spec.description
-        engine.close()
-
-
-class TestServingAutotune:
-    def test_threshold_gates_retuning(self):
-        rng = np.random.default_rng(9)
-        engine = ServingEngine(
-            pool_size=1, config=SMALL,
-            autotune=AutotunePolicy(threshold=4, budget=4),
-        )
-        below = [_gemm_kernel_request(i, rng) for i in range(3)]
-        report = engine.serve(below, verify=True)
-        section = report.as_dict()["autotune"]
-        assert section["tuned"] == []
-        assert sum(section["hot_keys"].values()) == 3
-        one_more = [_gemm_kernel_request(3, rng)]
-        report = engine.serve(one_more, verify=True)
-        section = report.as_dict()["autotune"]
-        assert len(section["tuned"]) == 1
-        record = section["tuned"][0]
-        assert record["kernel"] == "cgemm"
-        assert record["best_cycles"] <= record["default_cycles"]
-        assert "swapped" in record
-        engine.close()
-
-    def test_coerce_forms(self):
-        assert AutotunePolicy.coerce(None) is None
-        assert AutotunePolicy.coerce(False) is None
-        assert AutotunePolicy.coerce(True) == AutotunePolicy()
-        assert AutotunePolicy.coerce(5).threshold == 5
-        with pytest.raises(ValueError):
-            AutotunePolicy.coerce("always")
-
-    def test_preseeded_winner_swaps_and_verifies(self):
-        """A cached winner that differs from stock triggers the full swap
-        path — re-register in every worker — and outputs stay bit-exact."""
-        rng = np.random.default_rng(9)
-        engine = ServingEngine(
-            pool_size=2, config=SMALL,
-            autotune=AutotunePolicy(threshold=1, budget=4),
-        )
-        probe = _gemm_kernel_request(0, rng)
-        geometry = geometry_key(
-            [m.shape for m in probe.payload["inputs"]], np.int16, [2, -1]
-        )
-        variant = Recipe([("strip_mine", "k"), ("vectorize", "j")])
-        engine.schedule_cache.put(
-            "cgemm", geometry, SMALL,
-            TunedSchedule(variant, cycles=100, default_cycles=120, evaluated=4),
-        )
-        report = engine.serve([probe], verify=True)
-        section = report.as_dict()["autotune"]
-        assert section["tuned"][0]["swapped"] is True
-        spec = engine.workers[0].system.llc.runtime.library.lookup(FUNC5_CGEMM)
-        assert "strip_mine(k)" in spec.description
-        engine.close()
-
-    def test_autotune_section_absent_when_off(self):
-        rng = np.random.default_rng(9)
-        engine = ServingEngine(pool_size=1, config=SMALL)
-        report = engine.serve([_gemm_kernel_request(0, rng)])
-        assert "autotune" not in report.as_dict()
         engine.close()

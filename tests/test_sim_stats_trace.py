@@ -1,9 +1,8 @@
-"""Tests for simulation statistics and tracing."""
+"""Tests for simulation statistics."""
 
 import pytest
 
 from repro.sim.stats import Counter, Histogram, StatsRegistry
-from repro.sim.trace import TraceEvent, Tracer
 
 
 class TestCounter:
@@ -124,73 +123,3 @@ class TestStatsRegistry:
         registry.reset()
         assert registry.value("a") == 0
         assert registry.histogram("h").count == 0
-
-
-class TestTracer:
-    def test_log_and_filter(self):
-        tracer = Tracer()
-        tracer.log(1, "host", "read", addr=0x10)
-        tracer.log(2, "host", "write", addr=0x20)
-        tracer.log(3, "dma", "read", addr=0x30)
-        assert len(tracer.filter(source="host")) == 2
-        assert len(tracer.filter(kind="read")) == 2
-        assert len(tracer.filter(source="dma", kind="read")) == 1
-
-    def test_first_and_last(self):
-        tracer = Tracer()
-        tracer.log(1, "a", "evt", n=1)
-        tracer.log(5, "a", "evt", n=2)
-        assert tracer.first("evt").details["n"] == 1
-        assert tracer.last("evt").details["n"] == 2
-        assert tracer.first("missing") is None
-
-    def test_disabled_tracer_drops(self):
-        tracer = Tracer(enabled=False)
-        tracer.log(1, "a", "evt")
-        assert tracer.events == []
-
-    def test_capacity_cap(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.log(i, "a", "evt")
-        assert len(tracer.events) == 2
-        assert tracer.dropped == 3
-
-    def test_unbounded_tracer_never_drops(self):
-        tracer = Tracer()
-        for i in range(100):
-            tracer.log(i, "a", "evt")
-        assert tracer.dropped == 0
-
-    def test_dump_notes_drops(self):
-        tracer = Tracer(capacity=1)
-        tracer.log(0, "a", "kept")
-        tracer.log(1, "a", "lost")
-        tracer.log(2, "a", "lost")
-        text = tracer.dump()
-        assert "2 event(s) dropped at capacity 1" in text
-        assert "kept" in text
-
-    def test_dump_silent_when_nothing_dropped(self):
-        tracer = Tracer(capacity=5)
-        tracer.log(0, "a", "evt")
-        assert "dropped" not in tracer.dump()
-
-    def test_clear_resets_dropped(self):
-        tracer = Tracer(capacity=1)
-        tracer.log(0, "a", "evt")
-        tracer.log(1, "a", "evt")
-        tracer.clear()
-        assert tracer.dropped == 0
-        assert tracer.events == []
-
-    def test_dump_renders_lines(self):
-        tracer = Tracer()
-        tracer.log(7, "llc", "hit", addr=4)
-        text = tracer.dump()
-        assert "llc" in text and "hit" in text
-
-    def test_event_is_frozen(self):
-        event = TraceEvent(1, "a", "b")
-        with pytest.raises(AttributeError):
-            event.cycle = 2

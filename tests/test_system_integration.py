@@ -100,7 +100,7 @@ class TestOutOfOrderExecution:
 class TestHazardsEndToEnd:
     def test_raw_host_load_waits_for_result(self, rng):
         """A host load of the kernel destination returns the *computed* value."""
-        system = ArcaneSystem(CFG, trace=True)
+        system = ArcaneSystem(CFG)
         x = rng.integers(-50, 50, (6, 8)).astype(np.int32)
         mx = system.place_matrix(x)
         out = system.alloc_matrix(x.shape, np.int32)
