@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.cache.line import CacheLine, LineRole
 from repro.cache.lru import ApproxLru
-from repro.utils.bitops import align_down
 
 
 class CacheTable:
@@ -42,18 +41,33 @@ class CacheTable:
         ]
         self.lru = ApproxLru(lru_counter_bits)
         self._tag_map: Dict[int, CacheLine] = {}
+        #: ``address & _tag_mask`` aligns down to the line (line_bytes is
+        #: a power of two); lookups run per DMA row and host access
+        self._tag_mask = ~(line_bytes - 1)
 
     # -- addressing ---------------------------------------------------------
 
     def tag_of(self, address: int) -> int:
-        return align_down(address, self.line_bytes)
+        return address & self._tag_mask
 
     def lookup(self, address: int) -> Optional[CacheLine]:
         """Return the valid line holding ``address``, or None on miss."""
-        line = self._tag_map.get(self.tag_of(address))
+        line = self._tag_map.get(address & self._tag_mask)
         if line is not None and line.valid:
             return line
         return None
+
+    def overlaps(self, address: int, length: int) -> bool:
+        """True when a valid line holds any byte of ``[address, address + length)``."""
+        tag_map = self._tag_map
+        tag = address & self._tag_mask
+        end = address + length
+        while tag < end:
+            line = tag_map.get(tag)
+            if line is not None and line.valid:
+                return True
+            tag += self.line_bytes
+        return False
 
     def touch(self, line: CacheLine) -> None:
         """Update the replacement state after an access to ``line``."""

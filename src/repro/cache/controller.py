@@ -231,21 +231,28 @@ class LlcController:
     # charged by the DMA engine that calls these per row.
     # ------------------------------------------------------------------
 
-    def route_read(self, address: int, length: int) -> bytes:
-        """Serve a DMA row read: cache on hit, external memory on miss."""
+    def route_read(self, address: int, length: int):
+        """Serve a DMA row read: cache on hit, external memory on miss.
+
+        Returns a bytes-like object.  When no valid line overlays the row
+        (the common case for operands straight from memory) it is a
+        read-only, no-copy view of main memory, valid until the next
+        write; otherwise the row is assembled line by line into ``bytes``.
+        """
+        ct = self.ct
+        if not ct.overlaps(address, length):
+            return self.memory.view(address, length)
         out = bytearray()
         cursor = address
-        remaining = length
-        while remaining > 0:
-            line = self.ct.lookup(cursor)
-            line_end = self.ct.tag_of(cursor) + self.ct.line_bytes
-            chunk = min(remaining, line_end - cursor)
+        end = address + length
+        while cursor < end:
+            line = ct.lookup(cursor)
+            chunk = min(end - cursor, ct.tag_of(cursor) + ct.line_bytes - cursor)
             if line is not None:
                 out += line.read_bytes(cursor - line.tag, chunk)
             else:
                 out += self.memory.read_block(cursor, chunk)
             cursor += chunk
-            remaining -= chunk
         return bytes(out)
 
     def route_write(self, address: int, payload: bytes) -> None:
@@ -313,7 +320,7 @@ class LlcController:
     # ------------------------------------------------------------------
 
     def peek(self, address: int, length: int) -> bytes:
-        return self.route_read(address, length)
+        return bytes(self.route_read(address, length))
 
     def poke(self, address: int, payload: bytes) -> None:
         """Debug write that keeps cache and memory coherent."""

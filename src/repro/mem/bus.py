@@ -42,9 +42,10 @@ class BusModel:
         if n_bytes <= 0:
             return 0
         fixed = self.request_latency + (self.offchip_latency if offchip else 0)
+        beats = -(-n_bytes // self.width_bytes)  # inline beats(): runs per DMA row
         if self.burst:
-            return fixed + self.beats(n_bytes)
-        return self.beats(n_bytes) * (fixed + 1)
+            return fixed + beats
+        return beats * (fixed + 1)
 
     def transfer_2d_cycles(self, row_bytes: int, rows: int, offchip: bool = False) -> int:
         """Cycles for a 2D transfer: ``rows`` rows of ``row_bytes`` each.

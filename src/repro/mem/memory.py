@@ -25,6 +25,7 @@ class MainMemory:
         self.base = base
         self.size = size
         self.data = np.zeros(size, dtype=np.uint8)
+        self._readonly = memoryview(self.data).toreadonly()
 
     def _offset(self, address: int, length: int) -> int:
         offset = address - self.base
@@ -45,6 +46,14 @@ class MainMemory:
     def read_block(self, address: int, length: int) -> bytes:
         offset = self._offset(address, length)
         return self.data[offset : offset + length].tobytes()
+
+    def view(self, address: int, length: int) -> memoryview:
+        """A read-only, no-copy view of ``length`` bytes at ``address``.
+
+        It aliases the backing store: consume it before the next write.
+        """
+        offset = self._offset(address, length)
+        return self._readonly[offset : offset + length]
 
     def write_block(self, address: int, payload: bytes) -> None:
         offset = self._offset(address, len(payload))

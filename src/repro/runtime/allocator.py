@@ -15,7 +15,12 @@ using lock-protected 2D DMA transfers routed through the LLC controller:
 
 Every transfer first acquires the LLC lock (stalling until in-flight
 host operations finish) and releases it afterwards, exactly like the
-paper's allocator.
+paper's allocator.  What a single row does is defined once, by
+``load_row`` and ``store_row``: charge the DMA cycles (off-chip unless
+the row's first byte is cached), route the row through the controller,
+apply the fault-injection hook and write the VRF or the LLC.  The
+transfer methods only list the rows of one locked loop, and kernel
+replay (:mod:`repro.runtime.replay`) calls the same per-row functions.
 """
 
 from __future__ import annotations
@@ -128,6 +133,83 @@ class MatrixAllocator:
 
     # -- data movement ------------------------------------------------------------
 
+    def load_row(
+        self, vrf, matrix: MatrixBinding, row: int, register: int, offset: int = 0
+    ) -> int:
+        """Copy one matrix row into ``register`` at element ``offset``.
+
+        Returns the row's DMA cycles.  Rows resident in the cache stream
+        at on-chip speed; missing rows pay the off-chip latency — this is
+        what makes allocation overhead shrink when producers left their
+        output in the LLC.
+        """
+        address = matrix.row_address(row)
+        row_bytes = matrix.row_bytes
+        controller = self.controller
+        cycles = self.bus.transfer_cycles(
+            row_bytes, offchip=controller.ct.lookup(address) is None
+        )
+        payload = controller.route_read(address, row_bytes)
+        if self.corruption is not None:
+            payload = self.corruption.on_dma_row(payload)
+        vrf.write(register, np.frombuffer(payload, dtype=matrix.etype.np_dtype), offset)
+        return cycles
+
+    def store_row(
+        self, vrf, matrix: MatrixBinding, row: int, register: int, n_cols: int
+    ) -> int:
+        """Copy the first ``n_cols`` elements of ``register`` to a matrix row.
+
+        Returns the row's DMA cycles.  Fetch-on-write: the row lands in
+        the cache, and a miss on the covering line pays the fill (paper
+        III-A.4).
+        """
+        address = matrix.row_address(row)
+        etype = matrix.etype
+        controller = self.controller
+        cycles = self.bus.transfer_cycles(
+            n_cols * etype.nbytes, offchip=controller.ct.lookup(address) is None
+        )
+        payload = vrf.view(register, etype)[:n_cols].tobytes()
+        if self.corruption is not None:
+            payload = self.corruption.on_dma_row(payload)
+        controller.route_write(address, payload)
+        return cycles
+
+    def _transfer(self, items: list, store: bool = False) -> Generator:
+        """The locked DMA loop: one :meth:`load_row` (or :meth:`store_row`)
+        per item, time advancing per row.  Returns the total DMA cycles."""
+        if not items:
+            return 0
+        move = self.store_row if store else self.load_row
+        yield from self._locked_section()
+        total = 0
+        try:
+            for item in items:
+                cycles = move(*item)
+                total += cycles
+                if not self.sim.advance(cycles):
+                    yield cycles
+        finally:
+            self.controller.release_lock("ecpu")
+        self._count_rows(len(items), total, store)
+        return total
+
+    def _count_rows(self, n_rows: int, cycles: int, store: bool) -> None:
+        # hot path: counters are monotonic by construction, bump directly
+        if store:
+            self._c_rows_stored.value += n_rows
+            self._c_store_cycles.value += cycles
+        else:
+            self._c_rows_loaded.value += n_rows
+            self._c_load_cycles.value += cycles
+
+    def count_section(self, n_rows: int, cycles: int, store: bool = False) -> None:
+        """Count one locked section whose rows were moved outside the event
+        loop (kernel replay): its lock acquisition, rows and DMA cycles."""
+        self.controller._c_lock_acquired.value += 1
+        self._count_rows(n_rows, cycles, store)
+
     def load_rows(
         self,
         window: RegisterWindow,
@@ -140,34 +222,13 @@ class MatrixAllocator:
 
         Row ``row_start + i`` lands in register ``window[reg_start + i]``
         starting at element 0.  Returns total DMA cycles (also yielded).
-        Rows resident in the cache stream at on-chip speed; missing rows
-        pay the off-chip latency — this is what makes allocation overhead
-        shrink when producers left their output in the LLC.
         """
-        if n_rows == 0:
-            return 0
-        yield from self._locked_section()
-        vpu = self.vpus[window.vpu_index]
-        total = 0
-        try:
-            for i in range(n_rows):
-                address = matrix.row_address(row_start + i)
-                cached = self.controller.ct.lookup(address) is not None
-                cycles = self.bus.transfer_cycles(matrix.row_bytes, offchip=not cached)
-                payload = self.controller.route_read(address, matrix.row_bytes)
-                if self.corruption is not None:
-                    payload = self.corruption.on_dma_row(payload)
-                register = window[reg_start + i]
-                row = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
-                vpu.vrf.write(register, row)
-                total += cycles
-                if not self.sim.advance(cycles):
-                    yield cycles
-        finally:
-            self.controller.release_lock("ecpu")
-        self._c_rows_loaded.add(n_rows)
-        self._c_load_cycles.add(total)
-        return total
+        vrf = self.vpus[window.vpu_index].vrf
+        items = [
+            (vrf, matrix, row_start + i, window[reg_start + i], 0)
+            for i in range(n_rows)
+        ]
+        return (yield from self._transfer(items))
 
     def load_row_set(self, specs) -> Generator:
         """Load a batch of single rows under one lock acquisition.
@@ -179,28 +240,11 @@ class MatrixAllocator:
         the DMA with VPU compute (double buffering — the paper's
         "optimized DMA transfers reducing allocation times").
         """
-        if not specs:
-            return 0
-        yield from self._locked_section()
-        total = 0
-        try:
-            for window, matrix, row, reg in specs:
-                address = matrix.row_address(row)
-                cached = self.controller.ct.lookup(address) is not None
-                cycles = self.bus.transfer_cycles(matrix.row_bytes, offchip=not cached)
-                payload = self.controller.route_read(address, matrix.row_bytes)
-                if self.corruption is not None:
-                    payload = self.corruption.on_dma_row(payload)
-                values = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
-                self.vpus[window.vpu_index].vrf.write(window[reg], values)
-                total += cycles
-                if not self.sim.advance(cycles):
-                    yield cycles
-        finally:
-            self.controller.release_lock("ecpu")
-        self._c_rows_loaded.add(len(specs))
-        self._c_load_cycles.add(total)
-        return total
+        items = [
+            (self.vpus[window.vpu_index].vrf, matrix, row, window[reg], 0)
+            for window, matrix, row, reg in specs
+        ]
+        return (yield from self._transfer(items))
 
     def load_packed(
         self,
@@ -215,33 +259,18 @@ class MatrixAllocator:
         fetched by the eCPU as a ``.vs`` scalar operand (how the conv
         kernels keep their filter taps resident in one register).
         """
-        vpu = self.vpus[window.vpu_index]
-        if matrix.rows * matrix.cols > vpu.vrf.max_vl(matrix.etype):
+        vrf = self.vpus[window.vpu_index].vrf
+        if matrix.rows * matrix.cols > vrf.max_vl(matrix.etype):
             raise ValueError(
                 f"matrix {matrix.rows}x{matrix.cols} does not fit in one "
-                f"vector register ({vpu.vrf.max_vl(matrix.etype)} elements)"
+                f"vector register ({vrf.max_vl(matrix.etype)} elements)"
             )
-        yield from self._locked_section()
-        total = 0
-        try:
-            register = window[reg_index]
-            for row in range(matrix.rows):
-                address = matrix.row_address(row)
-                cached = self.controller.ct.lookup(address) is not None
-                cycles = self.bus.transfer_cycles(matrix.row_bytes, offchip=not cached)
-                payload = self.controller.route_read(address, matrix.row_bytes)
-                if self.corruption is not None:
-                    payload = self.corruption.on_dma_row(payload)
-                values = np.frombuffer(payload, dtype=matrix.etype.np_dtype)
-                vpu.vrf.write(register, values, offset=row * matrix.cols)
-                total += cycles
-                if not self.sim.advance(cycles):
-                    yield cycles
-        finally:
-            self.controller.release_lock("ecpu")
-        self._c_rows_loaded.add(matrix.rows)
-        self._c_load_cycles.add(total)
-        return total
+        register = window[reg_index]
+        items = [
+            (vrf, matrix, row, register, row * matrix.cols)
+            for row in range(matrix.rows)
+        ]
+        return (yield from self._transfer(items))
 
     def store_rows(
         self,
@@ -253,31 +282,10 @@ class MatrixAllocator:
         n_cols: Optional[int] = None,
     ) -> Generator:
         """Copy registers back into the matrix region (kernel write-back)."""
-        if n_rows == 0:
-            return 0
+        vrf = self.vpus[window.vpu_index].vrf
         n_cols = matrix.cols if n_cols is None else n_cols
-        row_bytes = n_cols * matrix.etype.nbytes
-        yield from self._locked_section()
-        vpu = self.vpus[window.vpu_index]
-        total = 0
-        try:
-            for i in range(n_rows):
-                address = matrix.row_address(row_start + i)
-                register = window[reg_start + i]
-                row = vpu.vrf.view(register, matrix.etype)[:n_cols]
-                # Fetch-on-write: destination lands in the cache; a miss on
-                # the covering line pays the fill (paper III-A.4).
-                cached = self.controller.ct.lookup(address) is not None
-                cycles = self.bus.transfer_cycles(row_bytes, offchip=not cached)
-                payload = row.tobytes()
-                if self.corruption is not None:
-                    payload = self.corruption.on_dma_row(payload)
-                self.controller.route_write(address, payload)
-                total += cycles
-                if not self.sim.advance(cycles):
-                    yield cycles
-        finally:
-            self.controller.release_lock("ecpu")
-        self._c_rows_stored.add(n_rows)
-        self._c_store_cycles.add(total)
-        return total
+        items = [
+            (vrf, matrix, row_start + i, window[reg_start + i], n_cols)
+            for i in range(n_rows)
+        ]
+        return (yield from self._transfer(items, store=True))

@@ -120,8 +120,13 @@ class CacheRuntime:
         claimed VPUs, and the pop→claim scheduling window all count as
         busy.  Used by :meth:`drain` and by every lifecycle operation that
         must not run over live operands (heap reset/free).
+
+        A dead scheduler loop counts too: the runtime is unusable rather
+        than idle.
         """
         reasons = []
+        if self.scheduler_died:
+            reasons.append("the scheduler loop died")
         pending = self.queue.peek_all()
         if pending:
             reasons.append(f"{len(pending)} queued kernel(s)")
@@ -135,12 +140,25 @@ class CacheRuntime:
             reasons.append("a kernel is mid-schedule")
         return reasons
 
+    @property
+    def scheduler_died(self) -> bool:
+        """True once an exception escaping a kernel body has killed the
+        scheduler loop: it will never serve the queue again."""
+        process = self._scheduler_process
+        return (
+            process is not None
+            and not process.finished
+            and process.generator.gi_frame is None
+        )
+
     def is_idle(self) -> bool:
         return not self.busy_reasons()
 
     def drain(self) -> Generator:
         """Simulation process: wait until every queued kernel has completed."""
         while True:
+            if self.scheduler_died:
+                raise RuntimeError("the C-RT scheduler loop died; rebuild the system")
             if self.is_idle():
                 return
             pending = self.queue.peek_all()

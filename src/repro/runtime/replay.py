@@ -19,20 +19,23 @@ memory for nothing.
 Bit-exactness contract
 ----------------------
 
-Replays reproduce the slow path exactly — results, ``RunReport`` cycle
-counts, phase breakdowns and stats counters — because nothing about a
-replay is *assumed* from the recording where live state could differ:
+The recording is the schedule; the machine's primitives are the
+semantics.  Replays reproduce the slow path exactly — results,
+``RunReport`` cycle counts, phase breakdowns and stats counters — because
+every effect re-executes against live memory, cache and VRF state through
+the code the slow path runs:
 
-* functional effects (DMA row reads/writes, vector-op execution, register
-  claims) are re-executed against live memory, cache and VRF state
-  through the same primitives the slow path uses;
-* per-row DMA cycle costs are *recomputed* from the live cache-hit state
-  of each row, not taken from the recording;
-* the LLC-lock serialization of loads, stores and double-buffered
-  prefetches is replayed with a closed-form timeline (a prefetch holds
-  the lock until its last row, later locked sections start no earlier
-  than that, and ``wait_prefetch`` charges only the exposed cycles) —
-  the same arrival times the event loop would produce;
+* vector ops are bound once per recording by :meth:`Vpu.bind` (what
+  :meth:`Vpu.execute` calls) and priced by :meth:`Dispatcher.tally`;
+* DMA rows move through :meth:`MatrixAllocator.load_row` and
+  :meth:`~MatrixAllocator.store_row`, so each row's cycle cost comes from
+  live cache-hit state and injected faults hit a replayed row exactly as
+  they hit an interpreted one;
+* only the LLC-lock serialization of loads, stores and double-buffered
+  prefetches is modelled, as a closed-form timeline (a prefetch holds the
+  lock until its last row, later locked sections start no earlier than
+  that, and ``wait_prefetch`` charges only the exposed cycles) — the
+  same arrival times the event loop would produce;
 * recordings are keyed on a digest of the *source operand bytes*, so the
   data-dependent parts of a stream (``read_element`` coefficients that
   gate zero-skipping, scalar operands) can never be replayed against
@@ -82,8 +85,6 @@ import hashlib
 import os
 from collections import OrderedDict
 from typing import Dict, Generator, List, Optional, Tuple
-
-import numpy as np
 
 from repro.runtime.context import KernelContext
 from repro.runtime.matrix import MatrixBinding
@@ -243,61 +244,55 @@ class RecordingContext(KernelContext):
             self._rec.steps.append((STEP_CLAIM, count))
         return window
 
+    def _section(self, rows) -> Optional[tuple]:
+        """Positional items ``(ref, register, row, arg)`` of one locked
+        transfer section; None once the recording is poisoned."""
+        if not self._rec.replayable:
+            return None
+        items = []
+        for matrix, register, row, arg in rows:
+            ref = self._ref(matrix)
+            if ref is None:
+                return None
+            items.append((ref, register, row, arg))
+        return tuple(items)
+
+    def _record_section(self, kind: int, rows, phase: str, cycles: int) -> None:
+        items = self._section(rows)
+        if items:
+            self._rec.steps.append((kind, items))
+            self._rec.note_phase(phase, cycles)
+
     def load_rows(self, window, matrix, row_start, n_rows, reg_start=0) -> Generator:
         cycles = yield from super().load_rows(window, matrix, row_start, n_rows, reg_start)
-        if n_rows > 0 and self._rec.replayable:
-            ref = self._ref(matrix)
-            if ref is not None:
-                items = tuple(
-                    (ref, window[reg_start + i], row_start + i, 0)
-                    for i in range(n_rows)
-                )
-                self._rec.steps.append((STEP_LOAD, items))
-                self._rec.note_phase("allocation", cycles)
+        rows = [(matrix, window[reg_start + i], row_start + i, 0) for i in range(n_rows)]
+        self._record_section(STEP_LOAD, rows, "allocation", cycles)
         return cycles
 
     def load_packed(self, window, matrix, reg_index=0) -> Generator:
         cycles = yield from super().load_packed(window, matrix, reg_index)
-        if self._rec.replayable:
-            ref = self._ref(matrix)
-            if ref is not None:
-                register = window[reg_index]
-                items = tuple(
-                    (ref, register, row, row * matrix.cols)
-                    for row in range(matrix.rows)
-                )
-                self._rec.steps.append((STEP_LOAD, items))
-                self._rec.note_phase("allocation", cycles)
+        register = window[reg_index]
+        rows = [(matrix, register, row, row * matrix.cols) for row in range(matrix.rows)]
+        self._record_section(STEP_LOAD, rows, "allocation", cycles)
         return cycles
-
-    def _row_set_items(self, specs) -> Optional[tuple]:
-        items = []
-        for window, matrix, row, reg in specs:
-            ref = self._ref(matrix)
-            if ref is None:
-                return None
-            items.append((ref, window[reg], row, 0))
-        return tuple(items)
 
     def load_row_set(self, specs) -> Generator:
         cycles = yield from super().load_row_set(specs)
-        if specs and self._rec.replayable:
-            items = self._row_set_items(specs)
-            if items is not None:
-                self._rec.steps.append((STEP_LOAD, items))
-                self._rec.note_phase("allocation", cycles)
+        rows = [(matrix, window[reg], row, 0) for window, matrix, row, reg in specs]
+        self._record_section(STEP_LOAD, rows, "allocation", cycles)
         return cycles
 
     def prefetch_row_set(self, specs):
         handle = super().prefetch_row_set(specs)
-        if self._rec.replayable:
-            items = self._row_set_items(specs)
-            if items is not None:
-                ordinal = self._next_handle
-                self._next_handle += 1
-                self._handle_ords[id(handle)] = ordinal
-                self._rec.outstanding.add(ordinal)
-                self._rec.steps.append((STEP_PREFETCH, ordinal, items))
+        items = self._section(
+            [(matrix, window[reg], row, 0) for window, matrix, row, reg in specs]
+        )
+        if items is not None:
+            ordinal = self._next_handle
+            self._next_handle += 1
+            self._handle_ords[id(handle)] = ordinal
+            self._rec.outstanding.add(ordinal)
+            self._rec.steps.append((STEP_PREFETCH, ordinal, items))
         return handle
 
     def wait_prefetch(self, handle) -> Generator:
@@ -318,16 +313,11 @@ class RecordingContext(KernelContext):
         cycles = yield from super().store_rows(
             window, matrix, row_start, n_rows, reg_start, n_cols
         )
-        if n_rows > 0 and self._rec.replayable:
-            ref = self._ref(matrix)
-            if ref is not None:
-                items = tuple(
-                    (window[reg_start + i], row_start + i) for i in range(n_rows)
-                )
-                self._rec.steps.append(
-                    (STEP_STORE, ref, items, matrix.cols if n_cols is None else n_cols)
-                )
-                self._rec.note_phase("writeback", cycles)
+        n_cols = matrix.cols if n_cols is None else n_cols
+        rows = [
+            (matrix, window[reg_start + i], row_start + i, n_cols) for i in range(n_rows)
+        ]
+        self._record_section(STEP_STORE, rows, "writeback", cycles)
         return cycles
 
     def _issue(self, op: VectorOp) -> Generator:
@@ -364,154 +354,46 @@ def _resolve_ref(ref: tuple, kernel: QueuedKernel) -> MatrixBinding:
 _SEG_OPS = -1
 
 
-def _compile_vop(op: VectorOp, vrf) -> Optional[callable]:
-    """Pre-bind one recorded vector op to a zero-lookup closure.
-
-    Mirrors :meth:`Vpu.execute` functionally, with every view, slice,
-    scalar cast and trait resolved at compile time; only the numpy work
-    remains per call.  Returns None for ``vl == 0`` timing-only ops.
-    """
-    from repro.vpu.visa import VectorOpcode
-
-    vl = op.vl
-    if vl == 0:
-        return None
-    opcode = op.opcode
-    etype = op.etype
-    dtype = etype.np_dtype
-    dst_view = vrf.view(op.vd, etype)
-    dst = dst_view[op.vd_offset : op.vd_offset + vl]
-    if len(dst) != vl:  # pragma: no cover - the recording launch validated this
-        raise ValueError(
-            f"vl={vl} at vd_offset={op.vd_offset} overflows register {op.vd}"
-        )
-    if opcode is VectorOpcode.VCLEAR:
-        def clear() -> None:
-            dst[:] = 0
-        return clear
-
-    view = vrf.view(op.vs1, etype)
-    offset = op.offset
-    if op.stride == 1:
-        src = view[offset : offset + vl]
-        if len(src) != vl:  # pragma: no cover - validated at record time
-            raise ValueError(f"vl={vl} at offset={offset} overflows register {op.vs1}")
-    else:
-        last = offset + op.stride * (vl - 1)
-        if last >= len(view):  # pragma: no cover - validated at record time
-            raise ValueError(
-                f"strided access (off={offset}, stride={op.stride}, vl={vl}) "
-                f"overflows source register {op.vs1}"
-            )
-        src = view[offset : last + 1 : op.stride]
-    scalar = int(op.scalar)
-    int64 = np.int64
-    # Arithmetic note: the slow path computes in int64 and truncates into
-    # the element dtype.  Truncation mod 2**w is a ring homomorphism, so
-    # add/mul/macc chains computed directly in the (wrapping) element
-    # dtype — with the scalar pre-wrapped — produce bit-identical values
-    # while running one same-width ufunc instead of three widening ones.
-    wrapped = int64(scalar).astype(dtype)
-
-    if opcode is VectorOpcode.VMACC_VS:
-        buffer = np.empty(vl, dtype)
-        def macc() -> None:
-            np.multiply(src, wrapped, out=buffer)
-            np.add(dst, buffer, out=dst)
-        return macc
-    if opcode is VectorOpcode.VMV:
-        if op.vs1 == op.vd:
-            def move_aliased() -> None:
-                dst[:] = src.copy()
-            return move_aliased
-        def move() -> None:
-            dst[:] = src
-        return move
-    if opcode in (VectorOpcode.VADD_VV, VectorOpcode.VMUL_VV):
-        other = vrf.view(op.vs2, etype)[:vl]
-        ufunc = np.add if opcode is VectorOpcode.VADD_VV else np.multiply
-        def ewise() -> None:
-            ufunc(src, other, out=dst)
-        return ewise
-    if opcode is VectorOpcode.VMUL_VS:
-        def mul_vs() -> None:
-            np.multiply(src, wrapped, out=dst)
-        return mul_vs
-    if opcode is VectorOpcode.VADD_VS:
-        def add_vs() -> None:
-            np.add(src, wrapped, out=dst)
-        return add_vs
-    if opcode is VectorOpcode.VMAX_VV:
-        def max_vv() -> None:
-            np.maximum(dst, src, out=dst)
-        return max_vv
-    if opcode in (VectorOpcode.VMAX_VS, VectorOpcode.VMIN_VS):
-        np_scalar = dtype(op.scalar)  # slow path semantics: raises on overflow
-        ufunc = np.maximum if opcode is VectorOpcode.VMAX_VS else np.minimum
-        def minmax_vs() -> None:
-            ufunc(src, np_scalar, out=dst)
-        return minmax_vs
-    if opcode is VectorOpcode.VSRA_VS:
-        def sra() -> None:
-            np.right_shift(src, scalar, out=dst)
-        return sra
-    if opcode is VectorOpcode.VREDSUM:
-        vd_offset = op.vd_offset
-        def redsum() -> None:
-            dst_view[vd_offset] = src.astype(int64).sum().astype(dtype)
-        return redsum
-    raise NotImplementedError(opcode)  # pragma: no cover - enum is closed
-
-
 def _compile_steps(recording: Recording, kernel: QueuedKernel, scheduler, vpu_index: int) -> list:
     """Fuse runs of compute steps into pre-bound closure segments.
 
-    Cycle costs and counter increments of VOP/READ runs are static (they
-    depend only on the op fields and the VPU geometry), so each run
-    collapses to one segment ``(_SEG_OPS, closures, t_cycles, n_ops,
-    vpu_cycles, elems, issue_bound, dispatch_cycles)`` applied in O(ops)
-    numpy calls and O(1) counter updates.  DMA/claim steps pass through
-    untouched — their costs depend on live cache state.
+    Each recorded op is bound once through :meth:`Vpu.bind` — the same
+    definition ``Vpu.execute`` runs — and each run of ops is priced once
+    by :meth:`Dispatcher.tally`: those costs depend only on the op fields
+    and the machine geometry.  A run collapses to one segment
+    ``(_SEG_OPS, closures, cycles, tally)`` applied in O(ops) numpy calls
+    and one counter update.  DMA/claim steps pass through untouched:
+    their costs depend on live cache state.
     """
-    vpu = scheduler.dispatcher.vpus[vpu_index]
-    vrf = vpu.vrf
-    issue_cycles = scheduler.dispatcher.issue_cycles
+    dispatcher = scheduler.dispatcher
+    vpu = dispatcher.vpus[vpu_index]
     scalar_read = KernelContext.SCALAR_READ_CYCLES
     name = kernel.name
     segments: list = []
     closures: list = []
-    t_cycles = n_ops = vpu_cycles = elems = issue_bound = dispatch_cycles = 0
+    ops: List[VectorOp] = []
+    reads = 0
 
     def flush() -> None:
-        nonlocal closures, t_cycles, n_ops, vpu_cycles, elems, issue_bound
-        nonlocal dispatch_cycles
-        if t_cycles or closures:
+        nonlocal closures, ops, reads
+        if ops or reads:
+            tally = dispatcher.tally(vpu_index, ops)
             segments.append(
-                (_SEG_OPS, tuple(closures), t_cycles, n_ops, vpu_cycles, elems,
-                 issue_bound, dispatch_cycles)
+                (_SEG_OPS, tuple(closures), tally[-1] + reads * scalar_read, tally)
             )
-        closures = []
-        t_cycles = n_ops = vpu_cycles = elems = issue_bound = dispatch_cycles = 0
+        closures, ops, reads = [], [], 0
 
     for step in recording.steps:
         kind = step[0]
         if kind == STEP_VOP:
             op = step[1]
-            fn = _compile_vop(op, vrf)
-            if fn is not None:
-                closures.append(fn)
-            op_cycles = vpu.op_cycles(op)
-            cost = op_cycles if op_cycles > issue_cycles else issue_cycles
-            t_cycles += cost
-            dispatch_cycles += cost
-            n_ops += 1
-            vpu_cycles += op_cycles
-            elems += op.vl
-            if issue_cycles >= op_cycles:
-                issue_bound += 1
+            ops.append(op)
+            run = vpu.bind(op)
+            if run is not None:
+                closures.append(run)
         elif kind == STEP_READ:
             _, vreg, index, etype, expected = step
-            read_view = vrf.view(vreg, etype)
+            read_view = vpu.vrf.view(vreg, etype)
 
             def check(read_view=read_view, vreg=vreg, index=index,
                       expected=expected) -> None:
@@ -521,7 +403,7 @@ def _compile_steps(recording: Recording, kernel: QueuedKernel, scheduler, vpu_in
                         "recorded value; replay-cache key invariant broken"
                     )
             closures.append(check)
-            t_cycles += scalar_read
+            reads += 1
         else:
             flush()
             segments.append(step)
@@ -538,36 +420,25 @@ def replay_kernel(
 ) -> Generator:
     """Simulation process: replay a recorded kernel in one suspension.
 
-    Functional effects are applied in LLC-lock acquisition order (exactly
-    the order the event loop serializes them in), cycle costs of DMA rows
-    are recomputed from live cache state, and the whole body advances the
-    simulator with a single ``yield`` of its total duration.
+    Rows move through the allocator's own per-row functions, in LLC-lock
+    acquisition order (exactly the order the event loop serializes them
+    in), so their cycle costs come from live cache state; the lock itself
+    is a closed-form timeline, and the whole body advances the simulator
+    with a single ``yield`` of its total duration.
     """
     allocator = scheduler.allocator
-    controller = scheduler.controller
     dispatcher = scheduler.dispatcher
     vpu_index = context.vpu_index
     vrf = allocator.vpus[vpu_index].vrf
     lock_overhead = allocator.lock_overhead_cycles
-    ct = controller.ct
-    lookup = ct.lookup
-    tag_map = ct._tag_map
-    line_bytes = ct.line_bytes
-    memory = controller.memory
-    mem_data = memory.data
-    mem_base = memory.base
-    mem_end = memory.base + memory.size
-    transfer_cycles = allocator.bus.transfer_cycles
-    route_read = controller.route_read
-    route_write = controller.route_write
-    frombuffer = np.frombuffer
+    load_row = allocator.load_row
+    store_row = allocator.store_row
 
     t = 0  # body-relative cycle offset
     lock_free = 0  # when the LLC lock is next free (prefetches hold it)
     pending: Dict[int, int] = {}  # prefetch ordinal -> completion offset
     compute = alloc_cycles = wb_cycles = 0
     bindings: Dict[tuple, MatrixBinding] = {}
-    row_costs: Dict[Tuple[int, bool], int] = {}  # (row_bytes, cached) -> cycles
 
     def binding_of(ref: tuple) -> MatrixBinding:
         binding = bindings.get(ref)
@@ -576,101 +447,39 @@ def replay_kernel(
             bindings[ref] = binding
         return binding
 
-    def row_cost(row_bytes: int, cached: bool) -> int:
-        cost = row_costs.get((row_bytes, cached))
-        if cost is None:
-            cost = transfer_cycles(row_bytes, offchip=not cached)
-            row_costs[(row_bytes, cached)] = cost
-        return cost
-
-    def apply_rows(items: tuple) -> int:
+    def section(items: tuple, store: bool = False) -> int:
+        """Move and count one locked section's rows; return their DMA cycles."""
+        move = store_row if store else load_row
         total = 0
-        for ref, reg, row, offset in items:
-            matrix = binding_of(ref)
-            address = matrix.row_address(row)
-            row_bytes = matrix.row_bytes
-            # Cycle cost uses the slow path's exact criterion: is the
-            # *first* byte's line resident (allocator.load_rows).
-            total += row_cost(row_bytes, lookup(address) is not None)
-            # Functionally, any cached line overlaying the row forces the
-            # routed read; the common serving case (cold cache, sources
-            # straight from memory) copies memory -> VRF as one numpy
-            # slice assignment with no bytes round-trip.
-            tag = address - (address % line_bytes)
-            end = address + row_bytes
-            overlaid = False
-            while tag < end:
-                line = tag_map.get(tag)
-                if line is not None and line.valid:
-                    overlaid = True
-                    break
-                tag += line_bytes
-            etype = matrix.etype
-            if not overlaid and address >= mem_base and end <= mem_end:
-                values = mem_data[address - mem_base : end - mem_base].view(
-                    etype.np_dtype
-                )
-            else:
-                values = frombuffer(
-                    route_read(address, row_bytes), dtype=etype.np_dtype
-                )
-            vrf.write(reg, values, offset)
+        for ref, reg, row, arg in items:
+            total += move(vrf, binding_of(ref), row, reg, arg)
+        allocator.count_section(len(items), total, store)
         return total
 
     for step in compiled:
         kind = step[0]
         if kind == _SEG_OPS:
-            (_, closures, t_cycles, n_ops, vpu_cycles, elems, issue_bound,
-             disp_cycles) = step
-            for fn in closures:
-                fn()
-            t += t_cycles
-            compute += t_cycles
-            if n_ops:
-                vpu = dispatcher.vpus[vpu_index]
-                vpu._c_ops.value += n_ops
-                vpu._c_cycles.value += vpu_cycles
-                vpu._c_elems.value += elems
-                dispatcher._c_ops.value += n_ops
-                dispatcher._c_cycles.value += disp_cycles
-                dispatcher._c_issue_bound.value += issue_bound
-        elif kind == STEP_LOAD:
-            items = step[1]
+            _, closures, cycles, tally = step
+            for run in closures:
+                run()
+            t += cycles
+            compute += cycles
+            if tally[0]:
+                dispatcher.charge(vpu_index, tally)
+        elif kind == STEP_LOAD or kind == STEP_STORE:
+            store = kind == STEP_STORE
             start = t if t >= lock_free else lock_free
-            total = apply_rows(items)
-            t = start + lock_overhead + total
-            lock_free = t
-            alloc_cycles += total
-            controller._c_lock_acquired.value += 1
-            allocator._c_rows_loaded.value += len(items)
-            allocator._c_load_cycles.value += total
-        elif kind == STEP_STORE:
-            _, ref, items, n_cols = step
-            matrix = binding_of(ref)
-            etype = matrix.etype
-            row_bytes = n_cols * etype.nbytes
-            start = t if t >= lock_free else lock_free
-            total = 0
-            for reg, row in items:
-                address = matrix.row_address(row)
-                total += row_cost(row_bytes, lookup(address) is not None)
-                route_write(address, vrf.view(reg, etype)[:n_cols].tobytes())
-            t = start + lock_overhead + total
-            lock_free = t
-            wb_cycles += total
-            controller._c_lock_acquired.value += 1
-            allocator._c_rows_stored.value += len(items)
-            allocator._c_store_cycles.value += total
+            total = section(step[1], store)
+            t = lock_free = start + lock_overhead + total
+            if store:
+                wb_cycles += total
+            else:
+                alloc_cycles += total
         elif kind == STEP_PREFETCH:
             _, ordinal, items = step
             if items:
                 start = t if t >= lock_free else lock_free
-                total = apply_rows(items)
-                end = start + lock_overhead + total
-                lock_free = end
-                controller._c_lock_acquired.value += 1
-                allocator._c_rows_loaded.value += len(items)
-                allocator._c_load_cycles.value += total
+                end = lock_free = start + lock_overhead + section(items)
             else:
                 end = t
             pending[ordinal] = end

@@ -12,7 +12,7 @@ operation is ``max(issue_cycles, vpu_cycles)`` once the pipeline is full.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.stats import StatsRegistry
 from repro.vpu.vpu import Vpu
@@ -66,16 +66,44 @@ class Dispatcher:
 
     # -- dispatch ------------------------------------------------------------
 
+    def pipelined(self, op_cycles: int) -> Tuple[int, bool]:
+        """``(cost, issue_bound)`` of one op whose VPU execution takes
+        ``op_cycles``: the pipelined ``max(issue_cycles, op_cycles)``, and
+        whether the eCPU's issue loop (not the VPU) set it."""
+        issue = self.issue_cycles
+        if issue >= op_cycles:
+            return issue, True
+        return op_cycles, False
+
     def dispatch(self, vpu_index: int, op: VectorOp) -> int:
         """Execute ``op`` on VPU ``vpu_index``; return the pipelined cycle cost."""
-        vpu = self.vpus[vpu_index]
-        op_cycles = vpu.execute(op)
-        issue = self.issue_cycles
+        cost, issue_bound = self.pipelined(self.vpus[vpu_index].execute(op))
         # hot path: counters are monotonic by construction, bump directly
         self._c_ops.value += 1
-        if issue >= op_cycles:
-            self._c_issue_bound.value += 1
-            self._c_cycles.value += issue
-            return issue
-        self._c_cycles.value += op_cycles
-        return op_cycles
+        self._c_issue_bound.value += issue_bound
+        self._c_cycles.value += cost
+        return cost
+
+    def tally(self, vpu_index: int, ops) -> Tuple[int, int, int, int, int]:
+        """Counter deltas of dispatching ``ops`` on VPU ``vpu_index``:
+        ``(n_ops, vpu_cycles, elems, issue_bound, cycles)``, where
+        ``cycles`` is the pipelined total.  :meth:`charge` applies them."""
+        vpu = self.vpus[vpu_index]
+        vpu_cycles = elems = issue_bound = cycles = 0
+        for op in ops:
+            op_cycles = vpu.op_cycles(op)
+            cost, bound = self.pipelined(op_cycles)
+            vpu_cycles += op_cycles
+            elems += op.vl
+            issue_bound += bound
+            cycles += cost
+        return len(ops), vpu_cycles, elems, issue_bound, cycles
+
+    def charge(self, vpu_index: int, tally: Tuple[int, int, int, int, int]) -> None:
+        """Count a :meth:`tally` of dispatches at once, as kernel replay
+        applies them: the VPU's execution counters plus the dispatcher's."""
+        n_ops, vpu_cycles, elems, issue_bound, cycles = tally
+        self.vpus[vpu_index].count(n_ops, vpu_cycles, elems)
+        self._c_ops.value += n_ops
+        self._c_issue_bound.value += issue_bound
+        self._c_cycles.value += cycles

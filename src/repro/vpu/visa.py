@@ -167,3 +167,8 @@ class VectorOp:
             raise ValueError("vector length must be non-negative")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+        if self.offset < 0 or self.vd_offset < 0:
+            raise ValueError(
+                f"element offsets must be non-negative, got offset="
+                f"{self.offset}, vd_offset={self.vd_offset}"
+            )

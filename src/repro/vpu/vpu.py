@@ -18,12 +18,13 @@ element width, matching the RTL datapath.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.sim.stats import StatsRegistry
-from repro.vpu.visa import ElementType, OP_TRAITS, STRIDED_SOURCES, VectorOp, VectorOpcode
+from repro.vpu.visa import VectorOp, VectorOpcode
 from repro.vpu.vrf import VectorRegisterFile
 
 
@@ -57,18 +58,11 @@ class Vpu:
 
     # -- timing ----------------------------------------------------------
 
-    def elems_per_cycle(self, etype: ElementType, stride: int = 1) -> int:
-        """Element throughput for the given element type and access stride."""
-        if stride == 1:
-            return self.lanes * etype.elems_per_word
-        return self.lanes
-
     def op_cycles(self, op: VectorOp) -> int:
         """Cycle cost of executing ``op`` on this VPU.
 
-        The single source of the timing formula — ``execute`` and the
-        replay compiler both charge through here, so the fast and slow
-        paths cannot drift apart.  Traits come from the precomputed
+        The single source of the timing formula — ``execute`` and kernel
+        replay both charge through here.  Traits come from the precomputed
         enum-member attributes (no per-op dict hashing).
         """
         opcode = op.opcode
@@ -86,20 +80,47 @@ class Vpu:
 
     # -- functional execution ------------------------------------------------
 
+    def count(self, n_ops: int, cycles: int, elems: int) -> None:
+        """Bump the per-VPU counters for ``n_ops`` ops executed at once."""
+        self._c_ops.value += n_ops
+        self._c_cycles.value += cycles
+        self._c_elems.value += elems
+
     def execute(self, op: VectorOp) -> int:
         """Execute ``op`` functionally; return its cycle cost."""
-        opcode = op.opcode
-        etype = op.etype
-        traits = opcode.traits  # hoisted: plain attribute, no enum hashing
-        vl = op.vl
         cycles = self.op_cycles(op)
         # hot path: counters are monotonic by construction, bump directly
         self._c_ops.value += 1
         self._c_cycles.value += cycles
-        self._c_elems.value += vl
-        if vl == 0:
-            return cycles
+        self._c_elems.value += op.vl
+        run = self.bind(op)
+        if run is not None:
+            run()
+        return cycles
 
+    def bind(self, op: VectorOp) -> Optional[Callable[[], None]]:
+        """Bind ``op`` to a no-argument callable over this VPU's registers.
+
+        The single definition of the vector ISA's semantics: register
+        views, slices, scalar casts and bounds checks are resolved here,
+        and calling the result does only the numpy work.  ``execute``
+        binds and calls once; kernel replay binds each recorded op once
+        and calls it on every replay (register views alias line buffers
+        that are never reallocated, so a bound op stays valid).  Returns
+        None for ``vl == 0``, which has no functional effect.
+
+        Integer arithmetic is defined as int64-then-truncate.  Truncation
+        mod 2**w is a ring homomorphism, so add/mul/macc computed directly
+        in the wrapping element dtype, with the scalar pre-wrapped, give
+        the same bits without widening copies.  Sources may alias the
+        destination: ufuncs resolve overlapping operands as if the source
+        were copied first.
+        """
+        vl = op.vl
+        if vl == 0:
+            return None
+        opcode = op.opcode
+        etype = op.etype
         dtype = etype.np_dtype
         dst_view = self.vrf.view(op.vd, etype)
         dst = dst_view[op.vd_offset : op.vd_offset + vl]
@@ -107,73 +128,47 @@ class Vpu:
             raise ValueError(
                 f"vl={vl} at vd_offset={op.vd_offset} overflows register {op.vd}"
             )
-
         if opcode is VectorOpcode.VCLEAR:
-            dst[:] = 0
-            return cycles
+            return partial(dst.fill, 0)
 
-        src = self._gather(op.vs1, etype, vl, op.offset, op.stride, op.vd)
-        # vs2 is fetched only by the two-source opcode forms
-        other = (
-            self.vrf.view(op.vs2, etype)[:vl]
-            if traits.n_vs_registers == 2
-            else None
-        )
-
-        # Integer arithmetic is defined as int64-then-truncate.  Truncation
-        # mod 2**w is a ring homomorphism, so add/mul/macc computed directly
-        # in the wrapping element dtype, with the scalar pre-wrapped, give
-        # the same bits without widening copies.
-        if opcode is VectorOpcode.VMV:
-            dst[:] = src
-        elif opcode is VectorOpcode.VADD_VV:
-            np.add(src, other, out=dst)
-        elif opcode is VectorOpcode.VMUL_VV:
-            np.multiply(src, other, out=dst)
-        elif opcode is VectorOpcode.VMACC_VS:
-            dst += src * np.int64(op.scalar).astype(dtype)
-        elif opcode is VectorOpcode.VMUL_VS:
-            np.multiply(src, np.int64(op.scalar).astype(dtype), out=dst)
-        elif opcode is VectorOpcode.VADD_VS:
-            np.add(src, np.int64(op.scalar).astype(dtype), out=dst)
-        elif opcode is VectorOpcode.VMAX_VV:
-            dst[:] = np.maximum(dst, src)
-        elif opcode is VectorOpcode.VMAX_VS:
-            dst[:] = np.maximum(src, dtype(op.scalar))
-        elif opcode is VectorOpcode.VMIN_VS:
-            dst[:] = np.minimum(src, dtype(op.scalar))
-        elif opcode is VectorOpcode.VSRA_VS:
-            dst[:] = src >> int(op.scalar)
-        elif opcode is VectorOpcode.VREDSUM:
-            # Wrap the int64 total straight through the element dtype (the
-            # old ``& -1`` int64 mask was a no-op on the way to the cast).
-            total = src.astype(np.int64).sum()
-            dst_view[op.vd_offset] = total.astype(dtype)
-        else:  # pragma: no cover - enum is closed
-            raise NotImplementedError(opcode)
-        return cycles
-
-    def _gather(
-        self, vs: int, etype: ElementType, vl: int, offset: int, stride: int,
-        vd: int = -1,
-    ) -> np.ndarray:
-        view = self.vrf.view(vs, etype)
-        if stride == 1:
-            src = view[offset : offset + vl]
-            if len(src) != vl:
-                raise ValueError(
-                    f"vl={vl} at offset={offset} overflows source register {vs}"
-                )
-            return src.copy() if vs == vd else src
+        # vs1: a contiguous or strided slice view (no index-array temp)
+        view = self.vrf.view(op.vs1, etype)
+        offset, stride = op.offset, op.stride
         last = offset + stride * (vl - 1)
         if last >= len(view):
             raise ValueError(
-                f"strided access (off={offset}, stride={stride}, vl={vl}) "
-                f"overflows source register {vs}"
+                f"access (off={offset}, stride={stride}, vl={vl}) "
+                f"overflows source register {op.vs1}"
             )
-        # Strided slice *view* instead of a fancy-index temp array: no
-        # per-op index-array allocation.  Only reads aliasing the
-        # destination register still need a defensive copy (``dst[:] =
-        # src`` with overlapping views is undefined).
         src = view[offset : last + 1 : stride]
-        return src.copy() if vs == vd else src
+        if opcode is VectorOpcode.VMACC_VS:
+            wrapped = np.int64(op.scalar).astype(dtype)
+            def macc() -> None:
+                np.add(dst, np.multiply(src, wrapped), out=dst)
+            return macc
+        if opcode is VectorOpcode.VREDSUM:
+            vd_offset = op.vd_offset
+            def redsum() -> None:
+                # the int64 total wraps straight through the element dtype
+                dst_view[vd_offset] = src.astype(np.int64).sum().astype(dtype)
+            return redsum
+
+        # every other opcode is one (overlap-safe) ufunc call into vd
+        if opcode is VectorOpcode.VMV:
+            ufunc, operands = np.positive, (src,)
+        elif opcode is VectorOpcode.VADD_VV or opcode is VectorOpcode.VMUL_VV:
+            ufunc = np.add if opcode is VectorOpcode.VADD_VV else np.multiply
+            operands = (src, self.vrf.view(op.vs2, etype)[:vl])
+        elif opcode is VectorOpcode.VMUL_VS or opcode is VectorOpcode.VADD_VS:
+            ufunc = np.multiply if opcode is VectorOpcode.VMUL_VS else np.add
+            operands = (src, np.int64(op.scalar).astype(dtype))
+        elif opcode is VectorOpcode.VMAX_VV:
+            ufunc, operands = np.maximum, (dst, src)
+        elif opcode is VectorOpcode.VMAX_VS or opcode is VectorOpcode.VMIN_VS:
+            ufunc = np.maximum if opcode is VectorOpcode.VMAX_VS else np.minimum
+            operands = (src, dtype(op.scalar))  # raises outside the dtype range
+        elif opcode is VectorOpcode.VSRA_VS:
+            ufunc, operands = np.right_shift, (src, int(op.scalar))
+        else:  # pragma: no cover - enum is closed
+            raise NotImplementedError(opcode)
+        return partial(ufunc, *operands, out=dst)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.address_table import OperandKind
 from repro.cache.line import LineRole
+from repro.mem.memory import MainMemoryError
 from repro.sim.kernel import Simulator
 
 
@@ -190,6 +191,36 @@ class TestRouting:
         cache.read(0x0)  # cache the first line only
         data = cache.controller.route_read(0x20, 64)  # crosses 64B boundary
         assert data == bytes(range(0x20, 0x60))
+
+    def test_uncached_row_is_a_view_of_memory(self, cache):
+        cache.memory.write_block(0x420, bytes(range(64)))  # spans two lines
+        data = cache.controller.route_read(0x420, 64)
+        assert bytes(data) == cache.memory.read_block(0x420, 64)
+        assert memoryview(data).readonly
+        assert cache.ct.lookup(0x420) is None  # reading allocated nothing
+
+    def test_partly_cached_row_returns_the_dirty_cache_bytes(self, cache):
+        cache.memory.write_block(0x600, bytes(range(128)))
+        cache.write(0x644, 0xDEADBEEF)  # dirty line over the row's tail
+        data = cache.controller.route_read(0x620, 64)
+        expected = bytearray(range(0x20, 0x60))
+        expected[0x24:0x28] = (0xDEADBEEF).to_bytes(4, "little")
+        assert bytes(data) == bytes(expected)
+        assert cache.memory.read_block(0x644, 4) != bytes(expected[0x24:0x28])
+
+    def test_out_of_range_row_raises(self, cache):
+        end = cache.memory.size
+        with pytest.raises(MainMemoryError):
+            cache.controller.route_read(end - 8, 16)
+        with pytest.raises(MainMemoryError):
+            cache.controller.route_read(end + 64, 4)
+
+    def test_peek_returns_bytes(self, cache):
+        cache.memory.write_block(0x700, bytes(range(8)))
+        assert cache.controller.peek(0x700, 8) == bytes(range(8))
+        assert type(cache.controller.peek(0x700, 8)) is bytes
+        cache.read(0x700)  # now cached: the assembled path
+        assert type(cache.controller.peek(0x700, 8)) is bytes
 
     def test_route_write_fetch_on_write(self, cache):
         cache.memory.write_block(0x300, bytes(range(64)))

@@ -105,6 +105,38 @@ class TestRepeatedLaunches:
             assert fast.reports[0].replay["misses"] == 1
 
 
+class TestCorruptionEquivalence:
+    """Injected faults reach a replayed launch exactly as they reach an
+    interpreted one: replay moves rows through the allocator's own per-row
+    functions, corruption hook included."""
+
+    # 4x4 gemm, beta=0: DMA row events are A row 0 (0), B rows 0-3 (1-4),
+    # D row 0 (5), A row 1 (6), D row 1 (7), ...; VRF writes are the
+    # loads only: A row 0 (0), B rows 0-3 (1-4), A row 1 (5), ...
+    @pytest.mark.parametrize(
+        "kind,site",
+        [("dma_corrupt", 2), ("dma_corrupt", 5), ("vrf_flip", 3)],
+        ids=["dma_load_row", "dma_store_row", "vrf_flip"],
+    )
+    def test_replayed_launch_corrupts_like_interpreted(self, rng, kind, site):
+        from repro.integrity import CorruptionDirective
+
+        a = rng.integers(1, 6, (4, 4)).astype(np.int16)
+        b = rng.integers(-6, 6, (4, 4)).astype(np.int16)
+        request = gemm_request(0, a, b)
+        directive = CorruptionDirective(kind, site=site, value=5)
+        fast_worker, slow_worker = paired_workers()
+        fast_worker.run(request)  # first sighting
+        fast_worker.run(request)  # records
+        fast = fast_worker.run(request, directives=[directive])
+        slow = slow_worker.run(request, directives=[directive])
+        assert fast.launches[0]["replay"] == "hit"
+        assert fast.integrity["events"] == slow.integrity["events"]
+        assert len(fast.integrity["events"]) == 1
+        assert np.array_equal(fast.output, slow.output)
+        assert not np.array_equal(fast.output, expected_output(request))
+
+
 def _run_gemm(system, a, b, c, alpha, beta):
     ma, mb, mc = (system.place_matrix(m) for m in (a, b, c))
     out = system.alloc_matrix((a.shape[0], b.shape[1]), a.dtype)

@@ -205,3 +205,34 @@ class TestFreeMatrix:
             assert np.array_equal(system.read_matrix(out), ref_leaky_relu(x, 1))
             system.free_matrix(mx)
             system.free_matrix(out)
+
+
+class TestDeadSchedulerLoop:
+    def test_kernel_exception_leaves_runtime_busy_not_idle(self):
+        """An exception escaping a kernel body kills the C-RT loop; the
+        runtime must say so (so callers rebuild) and a later program must
+        fail fast instead of waiting forever on a loop that is gone."""
+        import dataclasses
+
+        system = ArcaneSystem(CFG)
+        library = system.llc.runtime.library
+
+        def failing_body(kc, kernel, shard=None):
+            raise ValueError("kernel body failed")
+            yield  # pragma: no cover - makes this a generator
+
+        library.register(
+            dataclasses.replace(library.lookup(0), body=failing_body), replace=True
+        )
+        a = system.place_matrix(np.ones((2, 2), np.int32))
+        out = system.alloc_matrix((2, 2), np.int32)
+        with pytest.raises(ValueError, match="kernel body failed"):
+            with system.program() as prog:
+                prog.xmr(0, a).xmr(1, a).xmr(2, a).xmr(3, out)
+                prog.gemm(dest=3, a=0, b=1, c=2)
+        assert system.llc.runtime.busy_reasons() == ["the scheduler loop died"]
+        with pytest.raises(RuntimeError, match="cannot reset the heap"):
+            system.reset_heap()
+        with pytest.raises(RuntimeError, match="scheduler loop died"):
+            with system.program():
+                pass

@@ -377,3 +377,49 @@ class TestSameWidthArithmetic:
                                  scalar=scalar))
             expected = _int64_reference(opcode, dst, src, other, scalar, dtype)
             assert np.array_equal(vpu.vrf.view(0, etype)[:vl], expected), scalar
+
+    @pytest.mark.parametrize("stride", [1, 2], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("etype", list(ElementType), ids=lambda e: e.suffix)
+    @pytest.mark.parametrize("opcode", list(VectorOpcode), ids=lambda o: o.value)
+    def test_aliased_operands_match_int64_reference(self, opcode, etype, stride):
+        """``vs1 == vd`` with source and destination windows overlapping
+        in the same register: the result must be as if every source
+        element were read before any destination element is written."""
+        rng = np.random.default_rng([list(VectorOpcode).index(opcode), stride])
+        dtype = etype.np_dtype
+        info = np.iinfo(dtype)
+        scalar = 3 if opcode is VectorOpcode.VSRA_VS else -5
+        vl, offset, vd_offset = 13, 1, 4  # dst starts inside the source window
+        vpu = make_vpu()
+        register = rng.integers(info.min, info.max, vpu.vrf.max_vl(etype),
+                                endpoint=True).astype(dtype)
+        other = rng.integers(info.min, info.max, vl, endpoint=True).astype(dtype)
+        vpu.vrf.write(0, register)
+        vpu.vrf.write(2, other)
+        vpu.execute(VectorOp(opcode, etype, vd=0, vs1=0, vs2=2, vl=vl,
+                             scalar=scalar, offset=offset, stride=stride,
+                             vd_offset=vd_offset))
+        dst = register[vd_offset : vd_offset + vl]
+        src = register[offset : offset + stride * (vl - 1) + 1 : stride]
+        expected = register.copy()
+        if opcode is VectorOpcode.VREDSUM:
+            expected[vd_offset] = _int64_reference(
+                opcode, dst, src, other, scalar, dtype
+            )[0]
+        else:
+            expected[vd_offset : vd_offset + vl] = _int64_reference(
+                opcode, dst, src, other, scalar, dtype
+            )
+        assert np.array_equal(vpu.vrf.view(0, etype), expected)
+
+
+class TestOffsetValidation:
+    """Negative element offsets are rejected when the op is built: numpy
+    would otherwise wrap them to the end of the register silently."""
+
+    @pytest.mark.parametrize("stride", [1, 2], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("field", ["offset", "vd_offset"])
+    def test_negative_offset_rejected(self, field, stride):
+        with pytest.raises(ValueError, match="non-negative"):
+            VectorOp(VectorOpcode.VMACC_VS, ElementType.W, vd=0, vs1=1, vl=2,
+                     stride=stride, scalar=1, **{field: -3})
