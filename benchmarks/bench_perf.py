@@ -11,11 +11,11 @@ simulated cycles — those are bit-exact between modes by contract):
 * **online serving** — a pool of workers serves the same repeated
   workload through the arrival-driven dispatcher;
 * **distinct operands** — a pool of 2 serves the serving mix of
-  ``bench_serving.make_workload`` (fresh operands on every request, so
-  no launch key ever repeats).  Replay cannot help here; the row shows
-  what the fast path costs on such traffic, and the benchmark fails if
-  any launch was recorded (second-sighting admission must defer every
-  one of them — a deterministic counter, unlike the wall-clock ratio).
+  ``bench_serving.make_workload`` (fresh operands on every request).
+  Replay recordings are keyed on geometry, not data, so the mix's few
+  geometries replay; the benchmark fails unless at least
+  ``DISTINCT_HIT_FLOOR`` of the launches are replay hits (a
+  deterministic counter, unlike the wall-clock ratio).
 
 For every workload the two modes are cross-checked to be bit-exact
 (outputs, per-request simulated cycles, stats counters, phase
@@ -55,6 +55,10 @@ from repro.serve import (
 )
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "results" / "BENCH_perf.json"
+
+#: share of distinct_mix launches that must replay (one recording per
+#: kernel geometry, so only each geometry's first two sightings miss)
+DISTINCT_HIT_FLOOR = 0.9
 
 
 def assert_bit_exact(slow_results, fast_results, label: str) -> None:
@@ -167,10 +171,12 @@ def run_distinct(config: ArcaneConfig, n_requests: int, size: int, seed: int) ->
     for stats in fast_report.replay["per_worker"].values():
         for key, value in stats.items():
             replay[key] = replay.get(key, 0) + value
-    if replay["recorded"] != 0:
+    launches = replay["hits"] + replay["misses"] + replay["bypassed"]
+    if replay["hits"] < DISTINCT_HIT_FLOOR * launches:
         raise AssertionError(
-            f"distinct: {replay['recorded']} launches recorded on traffic whose "
-            "launch keys never repeat (admission must defer them all)"
+            f"distinct: {replay['hits']} replay hits of {launches} launches, "
+            f"below the {DISTINCT_HIT_FLOOR:.0%} floor (recordings are keyed "
+            "on geometry, so fresh operands must replay)"
         )
     return {
         "label": "distinct_mix",
@@ -235,7 +241,7 @@ def main() -> None:
         run_repeated(config, conv, args.repeats, f"conv_layer_{size}"),
         run_online(config, gemm, args.online_requests, args.trace,
                    args.traffic_seed),
-        run_distinct(config, 100 if args.smoke else 300, 12, args.seed),
+        run_distinct(config, 300, 12, args.seed),
     ]
 
     record = {
@@ -269,7 +275,7 @@ def main() -> None:
     )
     distinct = sections[-1]["replay"]
     print(
-        f"distinct_mix replay: misses={distinct['misses']}"
+        f"distinct_mix replay: hits={distinct['hits']} misses={distinct['misses']}"
         f" deferred={distinct['deferred']} recorded={distinct['recorded']}"
     )
     print(f"JSON perf record written to {args.output}")

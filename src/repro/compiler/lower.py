@@ -289,6 +289,26 @@ def _analyze(program: KernelProgram) -> _Plan:
 # ---------------------------------------------------------------------------
 
 
+def _tap_form(coeff: Expr, src_operand: str) -> Optional[Tuple[Access, Expr]]:
+    """``(access, factor)`` when a ``vmacc.vs`` coefficient is one matrix
+    element times an access-free factor — the form of every library
+    coefficient, lowered through :meth:`KernelContext.macc_tap` — else
+    None.  An element of the MAC's own source operand is excluded: making
+    the source row resident could evict the tap's row from the shared
+    row cache."""
+    if isinstance(coeff, Access):
+        access, factor = coeff, Const(1)
+    elif isinstance(coeff, BinOp) and coeff.op == "*" and isinstance(coeff.rhs, Access):
+        access, factor = coeff.rhs, coeff.lhs
+    elif isinstance(coeff, BinOp) and coeff.op == "*" and isinstance(coeff.lhs, Access):
+        access, factor = coeff.lhs, coeff.rhs
+    else:
+        return None
+    if accesses(factor) or access.operand == src_operand:
+        return None
+    return access, factor
+
+
 class _RowCache:
     """Direct-mapped resident-row tracking over one register window."""
 
@@ -507,13 +527,28 @@ class _Interp:
                 opcode, vd=self.acc, vs1=reg_a, vs2=reg_b, offset=off_a, vl=vl
             )
         elif isinstance(stmt, VMacc):
-            coeff = yield from self._eval_scalar(stmt.coeff)
-            if coeff == 0:
-                return  # software skips null contributions (like gemm.py)
+            tap = _tap_form(stmt.coeff, stmt.src.operand)
+            if tap is None:
+                coeff = yield from self._eval_scalar(stmt.coeff)
+                if coeff == 0:
+                    return  # software skips null contributions (like gemm.py)
+                register, offset = yield from self._ensure_ref(stmt.src)
+                yield from kc.vop(
+                    VectorOpcode.VMACC_VS, vd=self.acc, vs1=register,
+                    scalar=coeff, offset=offset, vl=vl,
+                )
+                return
+            access, factor_expr = tap
+            factor = yield from self._eval_scalar(factor_expr)
+            tap_register = yield from self._ensure_row(
+                access.operand, eval_expr(access.row, self.env)
+            )
+            # the source row is made resident before the tap is read, so
+            # which rows move never depends on the tap's value
             register, offset = yield from self._ensure_ref(stmt.src)
-            yield from kc.vop(
-                VectorOpcode.VMACC_VS, vd=self.acc, vs1=register,
-                scalar=coeff, offset=offset, vl=vl,
+            yield from kc.macc_tap(
+                tap_register, eval_expr(access.col, self.env), vd=self.acc,
+                vs1=register, vl=vl, factor=factor, offset=offset,
             )
         elif isinstance(stmt, VReduce):
             register, offset = yield from self._ensure_ref(stmt.src)

@@ -12,9 +12,9 @@ process counts.  The surface only turns those parent-drawn
 narrow hooks:
 
 * ``flip``        — one bit in the LLC-resident bytes of a kernel's
-  operands, flipped right after the launch is scheduled (and before the
-  replay key is computed, so a corrupt operand keys its own recording
-  rather than poisoning the clean one);
+  operands, flipped right after the launch is scheduled (replay
+  recordings hold no operand data, so a replayed launch reads the
+  flipped bit exactly as an interpreted one does);
 * ``dma_corrupt`` — one bit in one row payload moved by the allocator's
   lock-protected DMA transfers (loads *and* write-backs);
 * ``vrf_flip``    — one bit in the values of one VPU register-file
@@ -137,9 +137,9 @@ class CorruptionSurface:
     def on_kernel(self, kernel, controller) -> None:
         """flip: XOR one bit of the first scheduled kernel's operand bytes.
 
-        Runs after scheduling, before the replay key digest — the flip is
-        part of the operand content the key hashes, so the corrupt run
-        records under its own key and cannot poison the clean entry.
+        Runs after scheduling, before the body (or its replay) reads any
+        operand, so both paths compute on the flipped bit; a recording
+        made meanwhile holds no data values and stays clean.
         """
         directive = self._flip
         if directive is None:

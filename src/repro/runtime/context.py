@@ -8,8 +8,12 @@ to the VPU the scheduler selected.  The context exposes:
   and *writeback* phase buckets of Figure 3);
 * vector-instruction dispatch (charged to *compute*, with the pipelined
   ``max(issue, execute)`` cost of the eCPU/VPU pair);
-* scalar element reads (the eCPU fetching a filter coefficient out of a
-  vector register to use as a ``.vs`` scalar operand).
+* filter taps (:meth:`KernelContext.macc_tap`): the eCPU fetches a
+  coefficient out of a vector register and issues one ``vmacc.vs`` with
+  it unless it is null — the only way a shipped kernel's control flow
+  depends on operand data;
+* plain scalar element reads, for bodies that branch on data some other
+  way (kernel replay never replays those).
 
 Keeping phase accounting inside the context means kernels cannot forget
 to charge a phase — every effect they can cause is a context call.
@@ -175,6 +179,9 @@ class KernelContext:
 
     def _issue(self, op: VectorOp) -> Generator:
         """Issue one built :class:`VectorOp` (replay-recording hook point)."""
+        return self._dispatch(op)
+
+    def _dispatch(self, op: VectorOp) -> Generator:
         cost = self.dispatcher.dispatch(self.vpu_index, op)
         self.phases.add("compute", cost)
         if not self.sim.advance(cost):
@@ -189,3 +196,41 @@ class KernelContext:
         if not self.sim.advance(self.SCALAR_READ_CYCLES):
             yield self.SCALAR_READ_CYCLES
         return value
+
+    def macc_tap(
+        self,
+        vreg: int,
+        index: int,
+        vd: int,
+        vs1: int,
+        vl: int,
+        factor: int = 1,
+        skip_null: bool = True,
+        offset: int = 0,
+        stride: int = 1,
+        etype: Optional[ElementType] = None,
+    ) -> Generator:
+        """One filter tap: ``vd += vs1[offset::stride] * (factor * vreg[index])``.
+
+        The eCPU reads the tap out of the vector register (like
+        :meth:`read_element`) and issues one ``vmacc.vs`` with the scalar
+        ``factor * tap``; with ``skip_null`` a zero scalar issues nothing
+        (the software decoder skips null contributions).  ``factor`` and
+        ``skip_null`` must be launch constants, and the tap value is not
+        returned: whether the MAC issues is the only control flow operand
+        data reaches, which is what lets kernel replay keep one recording
+        per geometry.
+        """
+        etype = etype or self.etype
+        # the read_element body, inline: this runs once per tap
+        scalar = factor * int(self.vpu.vrf.view(vreg, etype)[index])
+        self.phases.add("compute", self.SCALAR_READ_CYCLES)
+        if not self.sim.advance(self.SCALAR_READ_CYCLES):
+            yield self.SCALAR_READ_CYCLES
+        if scalar or not skip_null:
+            yield from self._dispatch(
+                VectorOp(
+                    opcode=VectorOpcode.VMACC_VS, etype=etype, vd=vd, vs1=vs1,
+                    vl=vl, scalar=scalar, offset=offset, stride=stride,
+                )
+            )

@@ -73,16 +73,10 @@ def conv2d_body(
         for dr in range(k):
             source = in_win[(i + dr) % depth]
             for dc in range(k):
-                tap = yield from kc.read_element(flt_win[0], dr * k + dc)
-                if tap == 0:
-                    continue  # the software decoder skips null taps
-                yield from kc.vop(
-                    VectorOpcode.VMACC_VS,
-                    vd=acc_win[0],
-                    vs1=source,
-                    scalar=tap,
-                    vl=out_cols,
-                    offset=dc,
+                # the software decoder skips null taps
+                yield from kc.macc_tap(
+                    flt_win[0], dr * k + dc, vd=acc_win[0], vs1=source,
+                    vl=out_cols, offset=dc,
                 )
         yield from kc.store_rows(acc_win, d, i, 1)
     yield from kc.wait_prefetch(pending)

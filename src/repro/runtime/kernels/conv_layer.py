@@ -147,18 +147,9 @@ def conv_layer_body(
             for dr in range(k):
                 source = channel_wins[channel][(i + dr) % depth]
                 for dc in range(k):
-                    tap = yield from kc.read_element(
-                        flt_regs[channel], flt_offsets[channel] + dr * k + dc
-                    )
-                    if tap == 0:
-                        continue
-                    yield from kc.vop(
-                        VectorOpcode.VMACC_VS,
-                        vd=acc,
-                        vs1=source,
-                        scalar=tap,
-                        vl=conv_cols,
-                        offset=dc,
+                    yield from kc.macc_tap(
+                        flt_regs[channel], flt_offsets[channel] + dr * k + dc,
+                        vd=acc, vs1=source, vl=conv_cols, offset=dc,
                     )
 
         if (i - conv_first) % POOL_STRIDE == POOL_WINDOW - 1:

@@ -81,15 +81,11 @@ def gemm_body(
             if k_total > b_strip or i == row_start:
                 yield from kc.load_rows(b_win, b, k_base, k_count)
             for k in range(k_count):
-                a_ik = yield from kc.read_element(a_win[0], k_base + k)
-                if a_ik == 0 and alpha != 0:
-                    continue  # software skips null contributions
-                yield from kc.vop(
-                    VectorOpcode.VMACC_VS,
-                    vd=acc_win[0],
-                    vs1=b_win[k],
-                    scalar=alpha * a_ik,
-                    vl=n,
+                # software skips null a_ik contributions, except that
+                # alpha == 0 issues every MAC (with a zero scalar)
+                yield from kc.macc_tap(
+                    a_win[0], k_base + k, vd=acc_win[0], vs1=b_win[k], vl=n,
+                    factor=alpha, skip_null=alpha != 0,
                 )
         yield from kc.store_rows(acc_win, d, i, 1)
 

@@ -1,32 +1,40 @@
 """The kernel replay cache — the serving-path fast lane.
 
-Serving workloads launch the *same* ``(kernel, shape, operand data)``
-thousands of times (one pooled worker replays identical requests
-back-to-back), yet the stock scheduler re-runs the kernel body's Python
-tile-loop generator on every launch: thousands of generator suspensions,
-``VectorOp`` constructions and per-row bookkeeping just to re-derive a
-micro-program stream that is fully determined by the launch key.  This
-module separates the *schedule* from its *execution* (the Exo/SYS_ATL
-record-once-replay-cheaply idea applied to a simulator): the second
-sighting of a launch key records the stream of
-:class:`~repro.runtime.context.KernelContext` effects, and later launches
-replay that stream in a tight loop with a single simulator suspension.
-The first sighting only remembers the key (:meth:`ReplayCache.admit`):
-most serving traffic carries fresh operands whose keys never repeat, and
-recording them would cost a slow launch's worth of bookkeeping and
+Serving workloads launch the same kernels over the same *geometries*
+thousands of times, with fresh operand data on every request, yet the
+stock scheduler re-runs the kernel body's Python tile-loop generator on
+every launch: thousands of generator suspensions, ``VectorOp``
+constructions and per-row bookkeeping just to re-derive a micro-program
+stream that, apart from which filter taps are null, is fully determined
+by the launch key.  This module separates the *schedule* from its
+*execution* (the Exo/SYS_ATL split of algorithm from schedule, applied
+to a simulator): the recording is the schedule, and the live operands
+are the data.  The second sighting of a launch key records the stream of
+:class:`~repro.runtime.context.KernelContext` effects, and later
+launches replay that stream in a tight loop with a single simulator
+suspension.  The first sighting only remembers the key
+(:meth:`ReplayCache.admit`): a geometry seen once may never come back,
+and recording it would cost a slow launch's worth of bookkeeping and
 memory for nothing.
 
 Bit-exactness contract
 ----------------------
 
-The recording is the schedule; the machine's primitives are the
-semantics.  Replays reproduce the slow path exactly — results,
-``RunReport`` cycle counts, phase breakdowns and stats counters — because
-every effect re-executes against live memory, cache and VRF state through
-the code the slow path runs:
+Replays reproduce the slow path exactly — results, ``RunReport`` cycle
+counts, phase breakdowns and stats counters — because every effect
+re-executes against live memory, cache and VRF state through the code
+the slow path runs:
 
 * vector ops are bound once per recording by :meth:`Vpu.bind` (what
   :meth:`Vpu.execute` calls) and priced by :meth:`Dispatcher.tally`;
+* filter taps (:meth:`KernelContext.macc_tap`, the one primitive whose
+  control flow sees operand data) are recorded as *predicated* steps —
+  tap register, index, element type, launch-constant factor and the
+  ``vmacc.vs`` template, never a value.  Replay reads every tap live;
+  a row's run of taps into one ``vd`` is one fused call bound by
+  :meth:`Vpu.bind_taps`, which returns how many MACs the eCPU issues,
+  and only those are charged: each tap's read cycles plus, per issued
+  MAC, its pipelined cost and dispatch counters from a per-slot tally;
 * DMA rows move through :meth:`MatrixAllocator.load_row` and
   :meth:`~MatrixAllocator.store_row`, so each row's cycle cost comes from
   live cache-hit state and injected faults hit a replayed row exactly as
@@ -34,13 +42,14 @@ the code the slow path runs:
 * only the LLC-lock serialization of loads, stores and double-buffered
   prefetches is modelled, as a closed-form timeline (a prefetch holds the
   lock until its last row, later locked sections start no earlier than
-  that, and ``wait_prefetch`` charges only the exposed cycles) — the
-  same arrival times the event loop would produce;
-* recordings are keyed on a digest of the *source operand bytes*, so the
-  data-dependent parts of a stream (``read_element`` coefficients that
-  gate zero-skipping, scalar operands) can never be replayed against
-  different data; every replayed ``read_element`` additionally
-  re-reads the live value and verifies it matches the recording.
+  that, and ``wait_prefetch`` charges only the exposed cycles, which
+  follow from the live compute cycles on their own) — the same arrival
+  times the event loop would produce.
+
+Recordings are keyed on geometry, not data, so they hold no operand
+values: a fault that corrupts data while a recording is made cannot
+poison it.  A body that branches on data any other way — a plain
+``read_element`` — poisons its recording, which then never replays.
 
 Recordings reference operands by *position* (source index / destination)
 and rows by index, never by absolute address, so ``free_matrix()`` /
@@ -49,8 +58,8 @@ recording — the canonical serving flow (reset between requests) replays
 at full speed.  What *does* invalidate recordings:
 
 * reprogramming a library slot (``KernelLibrary.generation`` mismatch);
-* a different VPU selection, operand geometry, scalar set or source-data
-  digest (all part of the key — a miss, not a wrong replay);
+* a different VPU selection, operand geometry or scalar set (all part
+  of the key — a miss, not a wrong replay);
 * an environment the timeline model cannot promise to reproduce (LLC
   lock held or host access in flight at launch, a different VRF
   free-list state, multi-VPU sharding) — the launch silently takes the
@@ -81,7 +90,6 @@ such traffic exists there.  Debugging a workload that does mix them:
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import OrderedDict
 from typing import Dict, Generator, List, Optional, Tuple
@@ -89,26 +97,12 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.runtime.context import KernelContext
 from repro.runtime.matrix import MatrixBinding
 from repro.runtime.queue import QueuedKernel
-from repro.vpu.visa import VectorOp
+from repro.vpu.visa import VectorOp, VectorOpcode
 
 #: Step opcodes of the recorded effect stream.
-STEP_CLAIM, STEP_LOAD, STEP_STORE, STEP_VOP, STEP_READ, STEP_PREFETCH, STEP_WAIT = (
+STEP_CLAIM, STEP_LOAD, STEP_STORE, STEP_VOP, STEP_TAP, STEP_PREFETCH, STEP_WAIT = (
     range(7)
 )
-
-
-class ReplayDivergence(RuntimeError):
-    """A replayed stream observed different data than it recorded.
-
-    Unreachable through the public API on a healthy machine (the launch
-    key digests every operand's bytes, destination included).  It *is*
-    reachable under injected silent data corruption: a recording made
-    while a fault was corrupting mid-kernel state carries poisoned
-    expected values, and a later clean replay of it trips this check.
-    The scheduler treats it as a poisoning signal — the recording is
-    invalidated locally and retracted from the fleet cache — and the
-    serving worker converts it into a retryable ``corrupted`` failure.
-    """
 
 
 def fastpath_enabled(flag: bool) -> bool:
@@ -180,6 +174,8 @@ class RecordingContext(KernelContext):
     Timing, stats and functional behaviour are untouched — each call
     delegates to the stock implementation and appends one step, so the
     recording launch is indistinguishable from a plain slow-path launch.
+    A tap's step holds its predicate, never its value; a plain
+    ``read_element`` poisons the recording instead.
     """
 
     def __init__(
@@ -197,6 +193,9 @@ class RecordingContext(KernelContext):
         self._rec = recording
         self._handle_ords: Dict[int, int] = {}
         self._next_handle = 0
+        #: equal steps and op templates recur row after row; the recording
+        #: keeps one object per distinct value
+        self._interned: dict = {}
 
     # -- operand references ------------------------------------------------
 
@@ -320,21 +319,41 @@ class RecordingContext(KernelContext):
         self._record_section(STEP_STORE, rows, "writeback", cycles)
         return cycles
 
+    def _intern(self, value):
+        return self._interned.setdefault(value, value)
+
     def _issue(self, op: VectorOp) -> Generator:
         cost = yield from super()._issue(op)
         if self._rec.replayable:
-            self._rec.steps.append((STEP_VOP, op))
+            self._rec.steps.append(self._intern((STEP_VOP, self._intern(op))))
             self._rec.note_phase("compute", cost)
         return cost
 
-    def read_element(self, vreg, index, etype=None) -> Generator:
-        value = yield from super().read_element(vreg, index, etype)
+    def macc_tap(
+        self, vreg, index, vd, vs1, vl, factor=1, skip_null=True, offset=0,
+        stride=1, etype=None,
+    ) -> Generator:
+        compute = self.phases.cycles.get("compute", 0)
+        yield from super().macc_tap(
+            vreg, index, vd, vs1, vl, factor, skip_null, offset, stride, etype
+        )
         if self._rec.replayable:
-            self._rec.steps.append(
-                (STEP_READ, vreg, index, etype or self.etype, value)
-            )
-            self._rec.note_phase("compute", self.SCALAR_READ_CYCLES)
-        return value
+            etype = etype or self.etype
+            template = self._intern(VectorOp(
+                opcode=VectorOpcode.VMACC_VS, etype=etype, vd=vd, vs1=vs1, vl=vl,
+                offset=offset, stride=stride,
+            ))
+            index %= self.vpu.vrf.max_vl(etype)  # the slow path read it
+            self._rec.steps.append(self._intern(
+                (STEP_TAP, vreg, index, etype, factor, bool(skip_null), template)
+            ))
+            self._rec.note_phase("compute", self.phases.cycles["compute"] - compute)
+
+    def read_element(self, vreg, index, etype=None) -> Generator:
+        # the body branches on operand data outside macc_tap: a recording
+        # keyed on geometry cannot replay that
+        self._rec.poison("plain read_element (data-dependent control flow)")
+        return super().read_element(vreg, index, etype)
 
 
 def _resolve_ref(ref: tuple, kernel: QueuedKernel) -> MatrixBinding:
@@ -350,60 +369,81 @@ def _resolve_ref(ref: tuple, kernel: QueuedKernel) -> MatrixBinding:
     )
 
 
-#: compiled-segment marker for a fused run of VOP/READ compute steps
+#: compiled-segment marker for a run of compute (VOP/TAP) steps
 _SEG_OPS = -1
 
 
-def _compile_steps(recording: Recording, kernel: QueuedKernel, scheduler, vpu_index: int) -> list:
-    """Fuse runs of compute steps into pre-bound closure segments.
+def _row_key(step: tuple) -> tuple:
+    """Taps with equal keys may share one fused row (see ``Vpu.bind_taps``)."""
+    _, _, _, etype, _, skip_null, op = step
+    return (op.etype, op.vl, op.stride, op.vd, op.vd_offset, etype, skip_null)
 
-    Each recorded op is bound once through :meth:`Vpu.bind` — the same
-    definition ``Vpu.execute`` runs — and each run of ops is priced once
+
+def _compile_steps(recording: Recording, scheduler, vpu_index: int) -> list:
+    """Fuse runs of compute steps into pre-bound segments.
+
+    A run collapses to one segment ``(_SEG_OPS, items, cycles, tally)``:
+    ``items`` pairs each callable with None (a plain op, bound once
+    through :meth:`Vpu.bind` — the same definition ``Vpu.execute`` runs)
+    or with the per-MAC tally of a fused tap row (bound through
+    :meth:`Vpu.bind_taps`; calling it returns the MACs issued).
+    ``cycles`` and ``tally`` price the run's plain ops and tap reads once
     by :meth:`Dispatcher.tally`: those costs depend only on the op fields
-    and the machine geometry.  A run collapses to one segment
-    ``(_SEG_OPS, closures, cycles, tally)`` applied in O(ops) numpy calls
-    and one counter update.  DMA/claim steps pass through untouched:
-    their costs depend on live cache state.
+    and the machine geometry.  Consecutive taps into one ``vd`` share a
+    row until a tap reads ``vd`` itself.  Equal ops and rows share one
+    binding.  DMA/claim steps pass through untouched: their costs depend
+    on live cache state.
     """
     dispatcher = scheduler.dispatcher
     vpu = dispatcher.vpus[vpu_index]
     scalar_read = KernelContext.SCALAR_READ_CYCLES
-    name = kernel.name
     segments: list = []
-    closures: list = []
+    items: list = []
     ops: List[VectorOp] = []
     reads = 0
+    row: list = []
+    bound: dict = {}
+
+    def flush_row() -> None:
+        nonlocal row
+        if row:
+            key = tuple(row)
+            run = bound.get(key)
+            if run is None:
+                run = bound[key] = vpu.bind_taps(
+                    [step[1:5] + (step[6],) for step in row], row[0][5]
+                )
+            items.append((run, dispatcher.tally(vpu_index, [row[0][6]])))
+        row = []
 
     def flush() -> None:
-        nonlocal closures, ops, reads
-        if ops or reads:
+        nonlocal items, ops, reads
+        flush_row()
+        if items or ops:  # a vl == 0 op binds to nothing but still costs
             tally = dispatcher.tally(vpu_index, ops)
             segments.append(
-                (_SEG_OPS, tuple(closures), tally[-1] + reads * scalar_read, tally)
+                (_SEG_OPS, tuple(items), tally[-1] + reads * scalar_read, tally)
             )
-        closures, ops, reads = [], [], 0
+        items, ops, reads = [], [], 0
 
     for step in recording.steps:
         kind = step[0]
-        if kind == STEP_VOP:
+        if kind == STEP_TAP:
+            op = step[6]
+            if row and (
+                _row_key(step) != _row_key(row[0]) or op.vd in (step[1], op.vs1)
+            ):
+                flush_row()
+            row.append(step)
+            reads += 1
+        elif kind == STEP_VOP:
+            flush_row()
             op = step[1]
             ops.append(op)
-            run = vpu.bind(op)
-            if run is not None:
-                closures.append(run)
-        elif kind == STEP_READ:
-            _, vreg, index, etype, expected = step
-            read_view = vpu.vrf.view(vreg, etype)
-
-            def check(read_view=read_view, vreg=vreg, index=index,
-                      expected=expected) -> None:
-                if read_view[index] != expected:
-                    raise ReplayDivergence(
-                        f"kernel {name!r} replay read v{vreg}[{index}] != "
-                        "recorded value; replay-cache key invariant broken"
-                    )
-            closures.append(check)
-            reads += 1
+            if op not in bound:
+                bound[op] = vpu.bind(op)
+            if bound[op] is not None:
+                items.append((bound[op], None))
         else:
             flush()
             segments.append(step)
@@ -422,9 +462,10 @@ def replay_kernel(
 
     Rows move through the allocator's own per-row functions, in LLC-lock
     acquisition order (exactly the order the event loop serializes them
-    in), so their cycle costs come from live cache state; the lock itself
-    is a closed-form timeline, and the whole body advances the simulator
-    with a single ``yield`` of its total duration.
+    in), so their cycle costs come from live cache state; tap rows issue
+    only their live non-null MACs, whose cycles join their segment's; the
+    lock itself is a closed-form timeline, and the whole body advances
+    the simulator with a single ``yield`` of its total duration.
     """
     allocator = scheduler.allocator
     dispatcher = scheduler.dispatcher
@@ -438,6 +479,7 @@ def replay_kernel(
     lock_free = 0  # when the LLC lock is next free (prefetches hold it)
     pending: Dict[int, int] = {}  # prefetch ordinal -> completion offset
     compute = alloc_cycles = wb_cycles = 0
+    issued: Dict[tuple, int] = {}  # per-MAC tally -> tap MACs issued
     bindings: Dict[tuple, MatrixBinding] = {}
 
     def binding_of(ref: tuple) -> MatrixBinding:
@@ -459,9 +501,15 @@ def replay_kernel(
     for step in compiled:
         kind = step[0]
         if kind == _SEG_OPS:
-            _, closures, cycles, tally = step
-            for run in closures:
-                run()
+            _, items, cycles, tally = step
+            for run, unit in items:
+                if unit is None:
+                    run()
+                else:
+                    n = run()
+                    if n:
+                        cycles += n * unit[-1]
+                        issued[unit] = issued.get(unit, 0) + n
             t += cycles
             compute += cycles
             if tally[0]:
@@ -491,6 +539,8 @@ def replay_kernel(
         else:  # STEP_CLAIM — free-list equality guarantees identical regs
             context.claim(step[1])
 
+    for unit, n in issued.items():
+        dispatcher.charge(vpu_index, tuple(n * field for field in unit))
     phases = context.phases
     if alloc_cycles:
         phases.add("allocation", alloc_cycles)
@@ -573,28 +623,16 @@ class ReplayCache:
     # -- keys ---------------------------------------------------------------
 
     @staticmethod
-    def key_for(kernel: QueuedKernel, vpu_index: int, controller) -> tuple:
-        """Launch key: identity + geometry + scalars + operand-data digest.
+    def key_for(kernel: QueuedKernel, vpu_index: int) -> tuple:
+        """Launch key: identity + VPU + scalars + operand geometry.
 
-        The digest reads the operand bytes through the controller (cache
-        overlay over memory) — exactly the bytes the kernel's DMA loads
-        would observe — so any data difference is a cache miss, never a
-        wrong replay.  The *destination's* initial bytes are digested
-        too: a body is free to load and branch on its output region
-        (read-modify-write kernels), and only the data actually loaded
-        during execution is otherwise guarded.  Addresses are
-        deliberately absent: recordings are position-independent, which
-        is what lets the serving loop's ``reset_heap()``-then-reallocate
-        lifecycle keep hitting.
+        Operand *data* is deliberately absent: a body sees data only
+        through :meth:`KernelContext.macc_tap`, whose recorded steps are
+        predicates over the live taps, so one recording replays every
+        launch of its geometry.  Addresses are absent too: recordings are
+        position-independent, which is what lets the serving loop's
+        ``reset_heap()``-then-reallocate lifecycle keep hitting.
         """
-        digest = hashlib.blake2b(digest_size=16)
-        operands = list(kernel.sources)
-        if kernel.dest is not None:
-            operands.append(kernel.dest)
-        for binding in operands:
-            digest.update(
-                controller.peek(binding.address, binding.end_address - binding.address)
-            )
         geometry = tuple(
             (b.rows, b.cols, b.stride, b.etype.suffix) for b in kernel.sources
         )
@@ -612,7 +650,6 @@ class ReplayCache:
             tuple(sorted(kernel.scalars.items())),
             geometry,
             dest_geometry,
-            digest.digest(),
         )
 
     # -- storage ------------------------------------------------------------
@@ -670,12 +707,12 @@ class ReplayCache:
             self._compiled.pop(evicted, None)
 
     def compiled_for(
-        self, key: tuple, recording: Recording, kernel, scheduler, vpu_index: int
+        self, key: tuple, recording: Recording, scheduler, vpu_index: int
     ) -> list:
         """This system's compiled segments for ``key`` (built on first use)."""
         segments = self._compiled.get(key)
         if segments is None:
-            segments = _compile_steps(recording, kernel, scheduler, vpu_index)
+            segments = _compile_steps(recording, scheduler, vpu_index)
             self._compiled[key] = segments
         return segments
 
@@ -688,9 +725,9 @@ class ReplayCache:
     def invalidate(self, key: tuple) -> None:
         """Drop one recording locally and retract it from the fleet.
 
-        The poisoning defense: a recording whose replay diverged — or that
-        was touched by a run whose integrity check failed — must not be
-        served again, here or on any other worker.
+        The poisoning defense: a recording touched by a run whose
+        integrity check failed must not be served again, here or on any
+        other worker.
         """
         if self._entries.pop(key, None) is not None:
             self.stats["invalidated"] += 1

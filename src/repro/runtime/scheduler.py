@@ -26,13 +26,7 @@ from repro.runtime.context import KernelContext
 from repro.runtime.kernel_lib import KernelLibrary, KernelSpec
 from repro.runtime.phases import PhaseBreakdown
 from repro.runtime.queue import KernelQueue, QueuedKernel
-from repro.runtime.replay import (
-    Recording,
-    RecordingContext,
-    ReplayCache,
-    ReplayDivergence,
-    replay_kernel,
-)
+from repro.runtime.replay import Recording, RecordingContext, ReplayCache, replay_kernel
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.vpu.dispatcher import Dispatcher
@@ -152,9 +146,10 @@ class KernelScheduler:
             phases.add("preamble", kernel.preamble_cycles + self.SCHEDULE_CYCLES)
             yield self.SCHEDULE_CYCLES
             if self.corruption is not None:
-                # fires before the replay key is computed, so a flipped
-                # operand byte keys its own (corrupt) recording instead of
-                # poisoning the clean one
+                # a flipped operand byte is data: the launch replays (or
+                # records) its geometry's recording, which holds no data
+                # values, so the flip reaches this launch's output exactly
+                # as on the slow path and never a recording
                 self.corruption.on_kernel(kernel, self.controller)
 
             if self.multi_vpu and len(self.dispatcher.free_vpus()) > 1:
@@ -186,7 +181,7 @@ class KernelScheduler:
         """Fast-path dispatch: replay a recording, or record this launch
         if its key was seen before."""
         cache = self.replay_cache
-        key = cache.key_for(kernel, vpu_index, self.controller)
+        key = cache.key_for(kernel, vpu_index)
         recording = cache.lookup(key)
         if recording is not None:
             if cache.can_replay(recording, self, vpu_index):
@@ -230,20 +225,13 @@ class KernelScheduler:
         self, recording: Recording, kernel: QueuedKernel, vpu_index: int,
         phases: PhaseBreakdown, key: tuple,
     ) -> Generator:
-        cache = self.replay_cache
-        compiled = cache.compiled_for(key, recording, kernel, self, vpu_index)
+        compiled = self.replay_cache.compiled_for(key, recording, self, vpu_index)
         self.dispatcher.claim(vpu_index, kernel.kernel_id)
         context = KernelContext(
             vpu_index, kernel.etype, self.allocator, self.dispatcher, phases
         )
         try:
             yield from replay_kernel(recording, kernel, context, self, compiled)
-        except ReplayDivergence:
-            # the recording no longer matches the machine — most likely a
-            # corrupted (poisoned) recording; drop it locally and retract
-            # it from the fleet cache before the error propagates
-            cache.invalidate(key)
-            raise
         finally:
             context.release_all()
             self.dispatcher.release(vpu_index)

@@ -395,9 +395,9 @@ class DispatchCore:
             sticky = sticky_retry.pop(position, None)
             if sticky is not None:
                 # corruption escalation, level 1: re-run on the *same*
-                # worker with the replay fast path bypassed — the prime
-                # suspect is a poisoned recording, not the silicon —
-                # unless the supervisor pulled that worker meanwhile
+                # worker with the replay fast path bypassed (execution
+                # from first principles), unless the supervisor pulled
+                # that worker meanwhile
                 candidates = self._candidates(ready, None)
                 if sticky in candidates:
                     worker = sticky

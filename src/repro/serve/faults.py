@@ -127,9 +127,8 @@ class SilentCorruptionError(ServingError):
     """An integrity check caught a corrupted result before it shipped.
 
     Raised when ABFT residues are nonzero and unrepairable, an output
-    digest diverges from a prior run of the same payload, a DMR shadow
-    execution disagrees, or a replay recording turns out poisoned
-    (:class:`~repro.runtime.replay.ReplayDivergence`).  Retryable: the
+    digest diverges from a prior run of the same payload, or a DMR shadow
+    execution disagrees.  Retryable: the
     dispatch core escalates — first a re-execution with the replay fast
     path bypassed, then failover to a different worker — and repeat
     offenders are quarantined by the supervisor.

@@ -33,7 +33,6 @@ from repro.core.system import ArcaneSystem, RunReport
 from repro.integrity.check import DigestLedger, check_output, coerce_policy
 from repro.integrity.inject import CorruptionDirective
 from repro.runtime.phases import PhaseBreakdown
-from repro.runtime.replay import ReplayDivergence
 from repro.serve.faults import (
     RequestRejected,
     ServingError,
@@ -141,21 +140,6 @@ class SystemWorker:
                         f"{len(killed)} offload(s) killed by the decoder",
                         request_id=request.request_id, worker=self.index,
                     )
-        except ReplayDivergence as error:
-            # A recording stopped matching the machine mid-replay: on a
-            # healthy system this is unreachable, so treat it as a
-            # poisoned recording.  The scheduler already invalidated and
-            # retracted the diverged key; drop everything else this
-            # attempt touched and surface a retryable corruption failure.
-            self.failures += 1
-            self._retract_touched()
-            self._recover()
-            raise SilentCorruptionError(
-                f"request {request.request_id}: replay recording diverged "
-                f"mid-run on worker {self.index} (poisoned recording "
-                f"invalidated and retracted)",
-                request_id=request.request_id, worker=self.index,
-            ) from error
         except BaseException:
             # Keep the original diagnostic: a failed request may leave
             # kernels pending, in which case reset_heap() itself raises —

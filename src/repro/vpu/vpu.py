@@ -52,6 +52,8 @@ class Vpu:
         self._c_ops = self.stats.counter(f"vpu{index}.ops")
         self._c_cycles = self.stats.counter(f"vpu{index}.cycles")
         self._c_elems = self.stats.counter(f"vpu{index}.elems")
+        #: strided source windows of fused tap rows, per (width, vl, stride)
+        self._tap_windows: dict = {}
         self._reduction_cycles = max(
             1, int(math.log2(lanes)) if lanes > 1 else 1
         )
@@ -172,3 +174,67 @@ class Vpu:
         else:  # pragma: no cover - enum is closed
             raise NotImplementedError(opcode)
         return partial(ufunc, *operands, out=dst)
+
+    def bind_taps(self, taps, skip_null: bool) -> Callable[[], int]:
+        """Bind a row of filter taps to one fused call; it returns how many
+        ``VMACC_VS`` the eCPU issues.
+
+        ``taps`` are ``(vreg, index, etype, factor, op)`` slots of
+        :meth:`~repro.runtime.context.KernelContext.macc_tap`: tap ``j``
+        reads ``vreg[index]`` as ``etype`` and is ``op`` (a ``VMACC_VS``)
+        with the scalar ``factor * value``.  The slots share ``vd``,
+        ``vd_offset``, ``vl``, element type and stride, and none after the
+        first reads ``vd`` (as its tap or its source), so every tap and
+        source can be read up front.  The MACs then sum in int64 and
+        truncate once into ``vd``: the bits of issuing them one by one
+        through :meth:`bind`, since truncation mod 2**w is a ring
+        homomorphism.  A null tap's scalar is zero and adds nothing, so
+        the sum never skips one; the issued count is the non-zero scalars
+        under ``skip_null``, else every tap.
+        """
+        first = taps[0][4]
+        read_etype = taps[0][2]
+        shape = (first.etype, first.vl, first.stride, first.vd, first.vd_offset)
+        for j, (vreg, index, etype, _, op) in enumerate(taps):
+            if (
+                op.opcode is not VectorOpcode.VMACC_VS or etype is not read_etype
+                or (op.etype, op.vl, op.stride, op.vd, op.vd_offset) != shape
+                or (j and first.vd in (vreg, op.vs1))
+            ):
+                raise ValueError(f"tap {op!r} cannot join a fused row into v{first.vd}")
+            self.vrf.view(vreg, read_etype)[index]  # the slow path's bounds
+            self.bind(op)  # checks, made once here
+        start = first.vd_offset
+        dst = self.vrf.view(first.vd, first.etype)[start : start + first.vl]
+        per_read = self.vrf.max_vl(read_etype)
+        per = self.vrf.max_vl(first.etype)
+        positions = np.array(
+            [vreg * per_read + index for vreg, index, _, _, _ in taps], dtype=np.intp
+        )
+        factors = np.array([slot[3] for slot in taps], dtype=np.int64)
+        starts = np.array([op.vs1 * per + op.offset for *_, op in taps], dtype=np.intp)
+        reads = self.vrf.flat(read_etype)
+        window = self._tap_window(first.etype, first.vl, first.stride)
+        dtype = first.etype.np_dtype
+        n_taps = len(taps)
+
+        def row() -> int:
+            scalars = reads[positions] * factors
+            np.add(dst, (scalars @ window[starts]).astype(dtype), out=dst)
+            return int(np.count_nonzero(scalars)) if skip_null else n_taps
+        return row
+
+    def _tap_window(self, etype, vl: int, stride: int) -> np.ndarray:
+        """Read-only strided view whose row ``p`` is the ``vl`` elements
+        ``flat[p], flat[p + stride], ...`` of the flat register file."""
+        key = (etype.nbytes, vl, stride)
+        window = self._tap_windows.get(key)
+        if window is None:
+            flat = self.vrf.flat(etype)
+            size = flat.itemsize
+            window = np.lib.stride_tricks.as_strided(
+                flat, shape=(len(flat) - stride * (vl - 1), vl),
+                strides=(size, stride * size), writeable=False,
+            )
+            self._tap_windows[key] = window
+        return window

@@ -34,6 +34,8 @@ class VectorRegisterFile:
             etype.nbytes: [line.data.view(etype.np_dtype) for line in lines]
             for etype in ElementType
         }
+        #: flat typed views across all registers, built on first use
+        self._flat = None
         # Fault-injection hook (see repro.integrity.inject): when armed it
         # may return a corrupted copy of the values written.  None when no
         # fault plan is armed, so the hot path pays one attribute check.
@@ -57,6 +59,26 @@ class VectorRegisterFile:
             raise IndexError(
                 f"vector register {index} out of range 0..{self.n_regs - 1}"
             ) from None
+
+    def flat(self, etype: ElementType) -> np.ndarray:
+        """A mutable typed view of all registers back to back: element
+        ``e`` of register ``r`` is at ``r * max_vl(etype) + e``.
+
+        A fused tap row (``Vpu.bind_taps``) gathers taps and sources from
+        several registers through it with one index array; it exists
+        because the lines are consecutive slices of the LLC storage.
+        """
+        if self._flat is None:
+            first = self.lines[0].data
+            base = first.__array_interface__["data"][0]
+            for i, line in enumerate(self.lines):
+                if line.data.__array_interface__["data"][0] != base + i * self.line_bytes:
+                    raise ValueError("VRF lines are not consecutive slices of one buffer")
+            flat = np.lib.stride_tricks.as_strided(
+                first, shape=(len(self.lines) * self.line_bytes,)
+            )
+            self._flat = {e.nbytes: flat.view(e.np_dtype) for e in ElementType}
+        return self._flat[etype.nbytes]
 
     def read(self, index: int, etype: ElementType, vl: int) -> np.ndarray:
         """A copy of the first ``vl`` elements of register ``index``."""

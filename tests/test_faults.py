@@ -525,6 +525,33 @@ class TestWorkerRecovery:
         assert report.per_worker[0]["recoveries"] == 1
         assert report.availability["failed_attempts_by_class"] == {"rejected": 1}
 
+    def test_kernel_that_kills_the_scheduler_rebuilds_the_worker(self, rng):
+        """A kernel body that raises kills the scheduler loop mid-kernel;
+        the worker must rebuild (not just reset) so its next request runs."""
+        import dataclasses
+
+        worker = SystemWorker(0, CFG)
+        library = worker.system.llc.runtime.library
+
+        def failing_body(kc, kernel, shard=None):
+            raise ValueError("kernel body failed")
+            yield  # pragma: no cover - makes this a generator
+
+        library.register(
+            dataclasses.replace(library.lookup(0), body=failing_body), replace=True
+        )
+        request = gemm_request(
+            0,
+            rng.integers(-5, 5, (4, 4)).astype(np.int16),
+            rng.integers(-5, 5, (4, 4)).astype(np.int16),
+        )
+        with pytest.raises(ValueError, match="kernel body failed"):
+            worker.run(request)
+        assert worker.last_recovery["via"] == "rebuild"
+        assert "scheduler loop died" in worker.last_recovery["error"]
+        result = worker.run(request)  # the rebuilt system has the stock body
+        assert np.array_equal(result.output, expected_output(request))
+
 
 class TestRequestValidation:
     @pytest.mark.parametrize("shape", [(0, 4), (4, -1), (4,), (2, 3, 4), "bad"])

@@ -1,5 +1,7 @@
 """VPU tests: vector ISA semantics, lane timing, VRF views, dispatcher."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -423,3 +425,49 @@ class TestOffsetValidation:
         with pytest.raises(ValueError, match="non-negative"):
             VectorOp(VectorOpcode.VMACC_VS, ElementType.W, vd=0, vs1=1, vl=2,
                      stride=stride, scalar=1, **{field: -3})
+
+
+class TestFusedTapRow:
+    """``Vpu.bind_taps`` against the ops it fuses, issued one by one
+    through ``Vpu.execute`` on an identical VPU (the reference)."""
+
+    def _pair(self, etype, rng):
+        fused, reference = make_vpu(vregs=8), make_vpu(vregs=8)
+        info = np.iinfo(etype.np_dtype)
+        pool = np.array([info.min, info.max, -1, 0, 1, 3], dtype=etype.np_dtype)
+        for reg in range(8):
+            values = rng.choice(pool, size=fused.vrf.max_vl(etype))
+            fused.vrf.view(reg, etype)[:] = values
+            reference.vrf.view(reg, etype)[:] = values
+        return fused, reference
+
+    @pytest.mark.parametrize("etype", list(ElementType))
+    @pytest.mark.parametrize("skip_null", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_ops_issued_one_by_one(self, etype, skip_null, stride):
+        rng = np.random.default_rng(7)
+        fused, reference = self._pair(etype, rng)
+        vl = 9
+        # vd = 0; the first tap reads vd itself, later ones must not
+        taps = [(0, 3, etype, -2, VectorOp(VectorOpcode.VMACC_VS, etype, vd=0,
+                                           vs1=0, vl=vl, offset=1, stride=stride))]
+        for j in range(1, 12):
+            taps.append((
+                1 + j % 3, int(rng.integers(0, 20)), etype, int(rng.integers(-40000, 40000)),
+                VectorOp(VectorOpcode.VMACC_VS, etype, vd=0, vs1=4 + j % 4, vl=vl,
+                         offset=int(rng.integers(0, 4)), stride=stride),
+            ))
+        issued = 0
+        for vreg, index, read_etype, factor, op in taps:
+            scalar = factor * int(reference.vrf.view(vreg, read_etype)[index])
+            if scalar or not skip_null:
+                reference.execute(dataclasses.replace(op, scalar=scalar))
+                issued += 1
+        assert fused.bind_taps(taps, skip_null)() == issued
+        assert np.array_equal(fused.vrf.view(0, etype), reference.vrf.view(0, etype))
+
+    def test_rejects_a_later_tap_that_reads_vd(self):
+        vpu = make_vpu()
+        op = VectorOp(VectorOpcode.VMACC_VS, ElementType.W, vd=0, vs1=1, vl=4)
+        with pytest.raises(ValueError):
+            vpu.bind_taps([(2, 0, ElementType.W, 1, op), (0, 0, ElementType.W, 1, op)], True)
