@@ -40,12 +40,8 @@ def ref_maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     rows, cols = x.shape
     out_rows = (rows - window) // stride + 1
     out_cols = (cols - window) // stride + 1
-    out = np.empty((out_rows, out_cols), dtype=x.dtype)
-    for i in range(out_rows):
-        for j in range(out_cols):
-            patch = x[i * stride : i * stride + window, j * stride : j * stride + window]
-            out[i, j] = patch.max()
-    return out
+    patches = np.lib.stride_tricks.sliding_window_view(x, (window, window))
+    return patches[: out_rows * stride : stride, : out_cols * stride : stride].max(axis=(2, 3))
 
 
 def ref_conv2d(x: np.ndarray, f: np.ndarray) -> np.ndarray:

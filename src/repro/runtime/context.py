@@ -11,7 +11,9 @@ to the VPU the scheduler selected.  The context exposes:
 * filter taps (:meth:`KernelContext.macc_tap`): the eCPU fetches a
   coefficient out of a vector register and issues one ``vmacc.vs`` with
   it unless it is null — the only way a shipped kernel's control flow
-  depends on operand data;
+  depends on operand data.  :meth:`KernelContext.macc_row` issues a whole
+  row of taps into one accumulator as one fused call, bound by
+  :meth:`Vpu.bind_taps` — the definition kernel replay runs too;
 * plain scalar element reads, for bodies that branch on data some other
   way (kernel replay never replays those).
 
@@ -52,6 +54,8 @@ class KernelContext:
         self.phases = phases
         self.sim = allocator.sim
         self._windows: List[RegisterWindow] = []
+        #: fused tap rows bound by :meth:`macc_row`, for this launch
+        self._rows: dict = {}
 
     # -- register windows ---------------------------------------------------
 
@@ -219,7 +223,8 @@ class KernelContext:
         ``skip_null`` must be launch constants, and the tap value is not
         returned: whether the MAC issues is the only control flow operand
         data reaches, which is what lets kernel replay keep one recording
-        per geometry.
+        per geometry.  A row of taps into one ``vd`` is cheaper through
+        :meth:`macc_row`.
         """
         etype = etype or self.etype
         # the read_element body, inline: this runs once per tap
@@ -234,3 +239,58 @@ class KernelContext:
                     vl=vl, scalar=scalar, offset=offset, stride=stride,
                 )
             )
+
+    def macc_row(
+        self,
+        vd: int,
+        taps,
+        vl: int,
+        factor: int = 1,
+        skip_null: bool = True,
+        stride: int = 1,
+        etype: Optional[ElementType] = None,
+    ) -> Generator:
+        """A row of filter taps into ``vd``: exactly
+        ``macc_tap(vreg, index, vd, vs1, vl, factor, skip_null, offset,
+        stride, etype)`` for each ``(vreg, index, vs1, offset)`` of ``taps``,
+        in order — same bits, cycles, phases and counters.
+
+        The row runs as one fused call bound by :meth:`Vpu.bind_taps` (so no
+        tap after the first may read ``vd``), cached on this context for
+        the rest of the launch.  Each call charges every tap's read plus the
+        pipelined cost of each MAC the eCPU issues, counts those MACs as
+        dispatches, and advances the simulator once.
+        """
+        if not taps:
+            return
+        etype = etype or self.etype
+        key = (vd, tuple(taps), vl, factor, skip_null, stride, etype)
+        bound = self._rows.get(key)
+        if bound is None:
+            bound = self._rows[key] = self._bind_row(
+                vd, taps, vl, factor, skip_null, stride, etype
+            )
+        run, cycles, unit = bound
+        issued = run()
+        if issued:
+            cycles += issued * unit[-1]
+            self.dispatcher.charge(
+                self.vpu_index, tuple(issued * field for field in unit)
+            )
+        self.phases.add("compute", cycles)
+        if not self.sim.advance(cycles):
+            yield cycles
+
+    def _bind_row(self, vd, taps, vl, factor, skip_null, stride, etype):
+        """``(run, read cycles, per-MAC tally)`` of one :meth:`macc_row`."""
+        per = self.vpu.vrf.max_vl(etype)
+        slots = [
+            (vreg, range(per)[index], etype, factor, VectorOp(
+                opcode=VectorOpcode.VMACC_VS, etype=etype, vd=vd, vs1=vs1, vl=vl,
+                offset=offset, stride=stride,
+            ))
+            for vreg, index, vs1, offset in taps
+        ]
+        run = self.vpu.bind_taps(slots, skip_null)
+        unit = self.dispatcher.tally(self.vpu_index, [slots[0][4]])
+        return run, len(taps) * self.SCALAR_READ_CYCLES, unit

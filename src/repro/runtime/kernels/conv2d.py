@@ -62,6 +62,15 @@ def conv2d_body(
         [(in_win, x, r, r % depth) for r in range(row_start, row_start + k)]
     )
 
+    # the K*K taps of output row i, which depend only on i % depth
+    row_taps = [
+        tuple(
+            (flt_win[0], dr * k + dc, in_win[(phase + dr) % depth], dc)
+            for dr in range(k)
+            for dc in range(k)
+        )
+        for phase in range(depth)
+    ]
     pending = None
     for i in range(row_start, row_start + n_rows):
         yield from kc.wait_prefetch(pending)
@@ -70,14 +79,8 @@ def conv2d_body(
         if i + 1 < row_start + n_rows and next_row < x.rows:
             pending = kc.prefetch_row_set([(in_win, x, next_row, next_row % depth)])
         yield from kc.vop(VectorOpcode.VCLEAR, vd=acc_win[0], vl=out_cols)
-        for dr in range(k):
-            source = in_win[(i + dr) % depth]
-            for dc in range(k):
-                # the software decoder skips null taps
-                yield from kc.macc_tap(
-                    flt_win[0], dr * k + dc, vd=acc_win[0], vs1=source,
-                    vl=out_cols, offset=dc,
-                )
+        # the software decoder skips null taps
+        yield from kc.macc_row(acc_win[0], row_taps[i % depth], vl=out_cols)
         yield from kc.store_rows(acc_win, d, i, 1)
     yield from kc.wait_prefetch(pending)
 

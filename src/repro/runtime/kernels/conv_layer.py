@@ -127,6 +127,18 @@ def conv_layer_body(
         ]
     )
 
+    # the 3*K*K taps of conv row i, which depend only on i % depth:
+    # ``(filter register, tap index, source row register, column offset)``
+    row_taps = [
+        tuple(
+            (flt_regs[channel], flt_offsets[channel] + dr * k + dc,
+             channel_wins[channel][(phase + dr) % depth], dc)
+            for channel in range(N_CHANNELS)
+            for dr in range(k)
+            for dc in range(k)
+        )
+        for phase in range(depth)
+    ]
     pending = None
     for i in range(conv_first, conv_last):
         yield from kc.wait_prefetch(pending)
@@ -143,14 +155,7 @@ def conv_layer_body(
 
         acc = conv_bufs[i % POOL_WINDOW]
         yield from kc.vop(VectorOpcode.VCLEAR, vd=acc, vl=conv_cols)
-        for channel in range(N_CHANNELS):
-            for dr in range(k):
-                source = channel_wins[channel][(i + dr) % depth]
-                for dc in range(k):
-                    yield from kc.macc_tap(
-                        flt_regs[channel], flt_offsets[channel] + dr * k + dc,
-                        vd=acc, vs1=source, vl=conv_cols, offset=dc,
-                    )
+        yield from kc.macc_row(acc, row_taps[i % depth], vl=conv_cols)
 
         if (i - conv_first) % POOL_STRIDE == POOL_WINDOW - 1:
             pooled_index = i // POOL_STRIDE

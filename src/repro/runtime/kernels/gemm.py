@@ -80,13 +80,13 @@ def gemm_body(
             # when B fits, rows are loaded once (i == row_start).
             if k_total > b_strip or i == row_start:
                 yield from kc.load_rows(b_win, b, k_base, k_count)
-            for k in range(k_count):
-                # software skips null a_ik contributions, except that
-                # alpha == 0 issues every MAC (with a zero scalar)
-                yield from kc.macc_tap(
-                    a_win[0], k_base + k, vd=acc_win[0], vs1=b_win[k], vl=n,
-                    factor=alpha, skip_null=alpha != 0,
-                )
+            # software skips null a_ik contributions, except that
+            # alpha == 0 issues every MAC (with a zero scalar)
+            yield from kc.macc_row(
+                acc_win[0],
+                [(a_win[0], k_base + k, b_win[k], 0) for k in range(k_count)],
+                vl=n, factor=alpha, skip_null=alpha != 0,
+            )
         yield from kc.store_rows(acc_win, d, i, 1)
 
 

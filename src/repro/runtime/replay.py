@@ -27,14 +27,16 @@ the slow path runs:
 
 * vector ops are bound once per recording by :meth:`Vpu.bind` (what
   :meth:`Vpu.execute` calls) and priced by :meth:`Dispatcher.tally`;
-* filter taps (:meth:`KernelContext.macc_tap`, the one primitive whose
-  control flow sees operand data) are recorded as *predicated* steps —
-  tap register, index, element type, launch-constant factor and the
-  ``vmacc.vs`` template, never a value.  Replay reads every tap live;
-  a row's run of taps into one ``vd`` is one fused call bound by
-  :meth:`Vpu.bind_taps`, which returns how many MACs the eCPU issues,
-  and only those are charged: each tap's read cycles plus, per issued
-  MAC, its pipelined cost and dispatch counters from a per-slot tally;
+* filter taps (:meth:`KernelContext.macc_tap` and its row form
+  :meth:`~KernelContext.macc_row`, the only primitives whose control
+  flow sees operand data) are recorded as *predicated* steps, one per
+  tap — tap register, index, element type, launch-constant factor and
+  the ``vmacc.vs`` template, never a value.  Replay reads every tap
+  live; a row's run of taps into one ``vd`` is one fused call bound by
+  :meth:`Vpu.bind_taps` — the same definition an interpreted
+  ``macc_row`` runs — which returns how many MACs the eCPU issues, and
+  only those are charged: each tap's read cycles plus, per issued MAC,
+  its pipelined cost and dispatch counters from a per-slot tally;
 * DMA rows move through :meth:`MatrixAllocator.load_row` and
   :meth:`~MatrixAllocator.store_row`, so each row's cycle cost comes from
   live cache-hit state and injected faults hit a replayed row exactly as
@@ -337,17 +339,36 @@ class RecordingContext(KernelContext):
         yield from super().macc_tap(
             vreg, index, vd, vs1, vl, factor, skip_null, offset, stride, etype
         )
-        if self._rec.replayable:
-            etype = etype or self.etype
+        self._record_taps(
+            compute, vd, [(vreg, index, vs1, offset)], vl, factor, skip_null,
+            stride, etype,
+        )
+
+    def macc_row(
+        self, vd, taps, vl, factor=1, skip_null=True, stride=1, etype=None,
+    ) -> Generator:
+        compute = self.phases.cycles.get("compute", 0)
+        yield from super().macc_row(vd, taps, vl, factor, skip_null, stride, etype)
+        self._record_taps(compute, vd, taps, vl, factor, skip_null, stride, etype)
+
+    def _record_taps(
+        self, compute, vd, taps, vl, factor, skip_null, stride, etype,
+    ) -> None:
+        """One predicated ``STEP_TAP`` per tap, whichever call issued it."""
+        if not self._rec.replayable:
+            return
+        etype = etype or self.etype
+        per = self.vpu.vrf.max_vl(etype)
+        for vreg, index, vs1, offset in taps:
             template = self._intern(VectorOp(
                 opcode=VectorOpcode.VMACC_VS, etype=etype, vd=vd, vs1=vs1, vl=vl,
                 offset=offset, stride=stride,
             ))
-            index %= self.vpu.vrf.max_vl(etype)  # the slow path read it
+            index %= per  # the slow path read it
             self._rec.steps.append(self._intern(
                 (STEP_TAP, vreg, index, etype, factor, bool(skip_null), template)
             ))
-            self._rec.note_phase("compute", self.phases.cycles["compute"] - compute)
+        self._rec.note_phase("compute", self.phases.cycles.get("compute", 0) - compute)
 
     def read_element(self, vreg, index, etype=None) -> Generator:
         # the body branches on operand data outside macc_tap: a recording
@@ -627,11 +648,12 @@ class ReplayCache:
         """Launch key: identity + VPU + scalars + operand geometry.
 
         Operand *data* is deliberately absent: a body sees data only
-        through :meth:`KernelContext.macc_tap`, whose recorded steps are
-        predicates over the live taps, so one recording replays every
-        launch of its geometry.  Addresses are absent too: recordings are
-        position-independent, which is what lets the serving loop's
-        ``reset_heap()``-then-reallocate lifecycle keep hitting.
+        through :meth:`KernelContext.macc_tap` and ``macc_row``, whose
+        recorded steps are predicates over the live taps, so one recording
+        replays every launch of its geometry.  Addresses are absent too:
+        recordings are position-independent, which is what lets the
+        serving loop's ``reset_heap()``-then-reallocate lifecycle keep
+        hitting.
         """
         geometry = tuple(
             (b.rows, b.cols, b.stride, b.etype.suffix) for b in kernel.sources

@@ -14,7 +14,7 @@ from repro.baselines.multicore import (
     MulticoreModel,
 )
 from repro.baselines.pulp_kernels import pad_filters, padded_k, run_pulp_conv_layer, simd_width
-from repro.baselines.reference import ref_conv_layer
+from repro.baselines.reference import ref_conv_layer, ref_maxpool
 from repro.baselines.scalar_kernels import ConvLayerShape, run_scalar_conv_layer
 
 
@@ -22,6 +22,33 @@ def workload(rng, size, k, dtype):
     x = rng.integers(-8, 8, (3 * size, size)).astype(dtype)
     f = rng.integers(-2, 3, (3 * k, k)).astype(dtype)
     return x, f
+
+
+def brute_maxpool(x, window, stride):
+    """Max pooling as a loop over output elements (floor, no padding)."""
+    out_rows = (x.shape[0] - window) // stride + 1
+    out_cols = (x.shape[1] - window) // stride + 1
+    out = np.empty((out_rows, out_cols), dtype=x.dtype)
+    for i in range(out_rows):
+        for j in range(out_cols):
+            out[i, j] = x[i * stride : i * stride + window, j * stride : j * stride + window].max()
+    return out
+
+
+class TestRefMaxpool:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    @pytest.mark.parametrize(
+        "shape, window, stride",
+        [((7, 9), 2, 2), ((7, 9), 3, 2), ((8, 11), 2, 3), ((5, 5), 5, 1),
+         ((9, 4), 1, 2), ((13, 6), 3, 1), ((1, 17), 1, 4)],
+    )
+    def test_matches_brute_force(self, rng, dtype, shape, window, stride):
+        info = np.iinfo(dtype)
+        pool = np.array([info.min, info.max, -1, 0, 1], dtype=dtype)
+        for x in (rng.choice(pool, size=shape), rng.integers(-8, 8, shape).astype(dtype)):
+            got = ref_maxpool(x, window, stride)
+            assert got.dtype == x.dtype
+            assert np.array_equal(got, brute_maxpool(x, window, stride))
 
 
 class TestConvLayerShape:
